@@ -48,7 +48,7 @@ func BenchmarkFlatWeightedBuild(b *testing.B) {
 	g := benchWeightedGraph(ctree.DefaultParams())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		aspen.BuildFlatWeightedSnapshot(g)
+		aspen.BuildFlatSnapshot(g)
 	}
 }
 
@@ -58,7 +58,7 @@ func BenchmarkFlatKernels(b *testing.B) {
 	g := benchGraph(b, ctree.DefaultParams())
 	fs := aspen.BuildFlatSnapshot(g)
 	wg := benchWeightedGraph(ctree.DefaultParams())
-	fw := aspen.BuildFlatWeightedSnapshot(wg)
+	fw := aspen.BuildFlatSnapshot(wg)
 
 	b.Run("bfs-tree", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

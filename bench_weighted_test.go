@@ -22,14 +22,14 @@ func benchWeightedBatch() []aspen.WeightedEdge {
 	for u, nbrs := range adj {
 		for _, v := range nbrs {
 			w := 0.5 + float32(xhash.Mix32(uint32(u)^v*0x9e3779b9)%1000)/100
-			batch = append(batch, aspen.WeightedEdge{Src: uint32(u), Dst: v, Weight: w})
+			batch = append(batch, aspen.WeightedEdge{Src: uint32(u), Dst: v, Val: w})
 		}
 	}
 	return batch
 }
 
 func benchWeightedGraph(p ctree.Params) aspen.WeightedGraph {
-	return aspen.NewWeightedGraphWith(p).InsertEdges(benchWeightedBatch())
+	return aspen.NewGraphOf[float32](p).InsertEdges(benchWeightedBatch())
 }
 
 // BenchmarkWeightedInsertEdges measures weighted batch ingest into a
@@ -44,7 +44,7 @@ func BenchmarkWeightedInsertEdges(b *testing.B) {
 			// Shift weights so every update is a real overwrite.
 			shifted := make([]aspen.WeightedEdge, len(batch))
 			for i, e := range batch {
-				shifted[i] = aspen.WeightedEdge{Src: e.Src, Dst: e.Dst, Weight: e.Weight + 1}
+				shifted[i] = aspen.WeightedEdge{Src: e.Src, Dst: e.Dst, Val: e.Val + 1}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -70,7 +70,7 @@ func BenchmarkWeightedIngestEmpty(b *testing.B) {
 		b.Run(f.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				aspen.NewWeightedGraphWith(f.p).InsertEdges(batch)
+				aspen.NewGraphOf[float32](f.p).InsertEdges(batch)
 			}
 			b.ReportMetric(float64(len(batch))*float64(b.N)/b.Elapsed().Seconds(), "edges/sec")
 		})
@@ -92,7 +92,7 @@ func BenchmarkWeightedMemory(b *testing.B) {
 		b.Run(f.name, func(b *testing.B) {
 			var g aspen.WeightedGraph
 			for i := 0; i < b.N; i++ {
-				g = aspen.NewWeightedGraphWith(f.p).InsertEdges(batch)
+				g = aspen.NewGraphOf[float32](f.p).InsertEdges(batch)
 			}
 			s := g.Stats()
 			b.ReportMetric(float64(s.Edge.ChunkBytes)/float64(g.NumEdges()), "chunkB/edge")

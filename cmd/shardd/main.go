@@ -51,37 +51,45 @@ func main() {
 	}
 }
 
+// flags holds the parsed command line.
+type flags struct {
+	addr, dataDir, fsyncPol, replicaOf, obsAddr string
+	shardID, shards, ckptEvery, queueCap        int
+	coalesce, ring, dedupWin                    int
+	weighted                                    bool
+	fsyncInt, promote, dialTO, traceSlow        time.Duration
+}
+
 // run is the whole daemon behind a testable seam: flags, engine (or
 // replica), listener, serve loop, graceful shutdown on SIGINT/SIGTERM.
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("shardd", flag.ContinueOnError)
-	var (
-		addr      = fs.String("addr", "127.0.0.1:0", "listen address (port 0 picks one; the chosen address is printed)")
-		shardID   = fs.Int("shard", 0, "this process's shard index")
-		shards    = fs.Int("shards", 1, "total shard count of the cluster")
-		weighted  = fs.Bool("weighted", false, "serve aspen.WeightedGraph instead of aspen.Graph")
-		dataDir   = fs.String("data", "", "durability directory: WAL + checkpoints; recovers existing state on start (required for primaries)")
-		fsyncPol  = fs.String("fsync", "per-commit", "WAL fsync policy: per-commit, interval, or off")
-		fsyncInt  = fs.Duration("fsync-every", 20*time.Millisecond, "fsync interval under -fsync interval")
-		ckptEvery = fs.Int("ckpt-every", 256, "checkpoint after this many commits")
-		queueCap  = fs.Int("queue", 256, "ingest queue capacity (batches)")
-		coalesce  = fs.Int("coalesce", 32, "max batches folded into one commit")
-		replicaOf = fs.String("replica-of", "", "run as a read replica tailing this primary address instead of a primary")
-		ring      = fs.Int("ring", 0, "replica: retained (seq, graph) states for exact-seq reads (0 = default)")
-		promote   = fs.Duration("promote-after", 0, "replica: promote to accepting primary after this much sustained primary loss (0 = never)")
-		dialTO    = fs.Duration("dial-timeout", 0, "replica: one dial attempt's timeout (0 = default 1s)")
-		dedupWin  = fs.Int("dedup-window", 0, "exactly-once window: retried submits within the last N client seqs are acked, not re-applied (0 = default 4096)")
-		obsAddr   = fs.String("obs-addr", "", "observability listen address serving /metrics, /statusz, /healthz and /debug/pprof (empty disables)")
-		traceSlow = fs.Duration("trace-slow", 0, "capture per-stage breakdowns of commits slower than this into the /statusz slow ring (0 disables)")
-	)
+	var f flags
+	fs.StringVar(&f.addr, "addr", "127.0.0.1:0", "listen address (port 0 picks one; the chosen address is printed)")
+	fs.IntVar(&f.shardID, "shard", 0, "this process's shard index")
+	fs.IntVar(&f.shards, "shards", 1, "total shard count of the cluster")
+	fs.BoolVar(&f.weighted, "weighted", false, "serve aspen.WeightedGraph instead of aspen.Graph")
+	fs.StringVar(&f.dataDir, "data", "", "durability directory: WAL + checkpoints; recovers existing state on start (required for primaries)")
+	fs.StringVar(&f.fsyncPol, "fsync", "per-commit", "WAL fsync policy: per-commit, interval, or off")
+	fs.DurationVar(&f.fsyncInt, "fsync-every", 20*time.Millisecond, "fsync interval under -fsync interval")
+	fs.IntVar(&f.ckptEvery, "ckpt-every", 256, "checkpoint after this many commits")
+	fs.IntVar(&f.queueCap, "queue", 256, "ingest queue capacity (batches)")
+	fs.IntVar(&f.coalesce, "coalesce", 32, "max batches folded into one commit")
+	fs.StringVar(&f.replicaOf, "replica-of", "", "run as a read replica tailing this primary address instead of a primary")
+	fs.IntVar(&f.ring, "ring", 0, "replica: retained (seq, graph) states for exact-seq reads (0 = default)")
+	fs.DurationVar(&f.promote, "promote-after", 0, "replica: promote to accepting primary after this much sustained primary loss (0 = never)")
+	fs.DurationVar(&f.dialTO, "dial-timeout", 0, "replica: one dial attempt's timeout (0 = default 1s)")
+	fs.IntVar(&f.dedupWin, "dedup-window", 0, "exactly-once window: retried submits within the last N client seqs are acked, not re-applied (0 = default 4096)")
+	fs.StringVar(&f.obsAddr, "obs-addr", "", "observability listen address serving /metrics, /statusz, /healthz and /debug/pprof (empty disables)")
+	fs.DurationVar(&f.traceSlow, "trace-slow", 0, "capture per-stage breakdowns of commits slower than this into the /statusz slow ring (0 disables)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *shardID < 0 || *shards < 1 || *shardID >= *shards {
-		return fmt.Errorf("bad -shard %d / -shards %d", *shardID, *shards)
+	if f.shardID < 0 || f.shards < 1 || f.shardID >= f.shards {
+		return fmt.Errorf("bad -shard %d / -shards %d", f.shardID, f.shards)
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", f.addr)
 	if err != nil {
 		return err
 	}
@@ -89,23 +97,24 @@ func run(args []string, stdout io.Writer) error {
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 
+	serve := serveShard[struct{}]
+	if f.weighted {
+		serve = serveShard[float32]
+	}
+	return serve(f, ln, sigs, stdout)
+}
+
+// serveShard runs the replica or primary over aspen graphs with payload
+// type V until a signal.
+func serveShard[V ctree.Value](f flags, ln net.Listener, sigs <-chan os.Signal, stdout io.Writer) error {
 	p := ctree.DefaultParams()
-	if *replicaOf != "" {
+	if f.replicaOf != "" {
 		role := "replica"
 		fmt.Fprintf(stdout, "shardd: shard %d/%d %s of %s listening on %s\n",
-			*shardID, *shards, role, *replicaOf, ln.Addr())
-		ro := remote.Options{PromoteAfter: *promote, DialTimeout: *dialTO, DedupWindow: *dedupWin}
-		if *weighted {
-			r := remote.NewWeightedReplica(*replicaOf, p, *shardID, *shards, *ring, ro)
-			if err := wireReplicaObs(stdout, *obsAddr, r.Stats); err != nil {
-				ln.Close()
-				return err
-			}
-			go func() { <-sigs; r.Close() }()
-			return r.Serve(ln)
-		}
-		r := remote.NewGraphReplica(*replicaOf, p, *shardID, *shards, *ring, ro)
-		if err := wireReplicaObs(stdout, *obsAddr, r.Stats); err != nil {
+			f.shardID, f.shards, role, f.replicaOf, ln.Addr())
+		ro := remote.Options{PromoteAfter: f.promote, DialTimeout: f.dialTO, DedupWindow: f.dedupWin}
+		r := remote.NewGraphReplicaOf[V](f.replicaOf, p, f.shardID, f.shards, f.ring, ro)
+		if err := wireReplicaObs(stdout, f.obsAddr, r.Stats); err != nil {
 			ln.Close()
 			return err
 		}
@@ -113,11 +122,11 @@ func run(args []string, stdout io.Writer) error {
 		return r.Serve(ln)
 	}
 
-	if *dataDir == "" {
+	if f.dataDir == "" {
 		ln.Close()
 		return fmt.Errorf("-data is required (primaries are durable; acks imply committed + logged state)")
 	}
-	pol, err := stream.ParseSyncPolicy(*fsyncPol)
+	pol, err := stream.ParseSyncPolicy(f.fsyncPol)
 	if err != nil {
 		ln.Close()
 		return err
@@ -125,43 +134,29 @@ func run(args []string, stdout io.Writer) error {
 	// The dedup window is rebuilt from the WAL's idempotency notes
 	// before the server takes traffic, so a submit retried across a
 	// crash-restart is still answered from the window, not re-applied.
-	win := remote.NewDedup(*dedupWin)
+	win := remote.NewDedup(f.dedupWin)
 	dur := stream.Durability{
-		Dir:             *dataDir,
+		Dir:             f.dataDir,
 		Policy:          pol,
-		Interval:        *fsyncInt,
-		CheckpointEvery: *ckptEvery,
+		Interval:        f.fsyncInt,
+		CheckpointEvery: f.ckptEvery,
 		OnReplayNote:    win.Observe,
 	}
-	opts := stream.Options{QueueCap: *queueCap, MaxCoalesce: *coalesce, TraceSlow: *traceSlow}
+	opts := stream.Options{QueueCap: f.queueCap, MaxCoalesce: f.coalesce, TraceSlow: f.traceSlow}
 
 	t0 := time.Now()
-	if *weighted {
-		eng, err := stream.RecoverWeightedEngine(p, opts, dur)
-		if err != nil {
-			ln.Close()
-			return fmt.Errorf("recover %s: %w", *dataDir, err)
-		}
-		srv := remote.NewWeightedServer(eng, p, *dataDir, *shardID, *shards)
-		srv.SetDedup(win)
-		if err := wirePrimaryObs(stdout, *obsAddr, eng, srv, win, *shardID); err != nil {
-			ln.Close()
-			return err
-		}
-		return servePrimary(stdout, ln, sigs, srv.Serve, srv.Close, eng, t0, *shardID, *shards)
-	}
-	eng, err := stream.RecoverGraphEngine(p, opts, dur)
+	eng, err := stream.RecoverGraphEngineOf[V](p, opts, dur)
 	if err != nil {
 		ln.Close()
-		return fmt.Errorf("recover %s: %w", *dataDir, err)
+		return fmt.Errorf("recover %s: %w", f.dataDir, err)
 	}
-	srv := remote.NewGraphServer(eng, p, *dataDir, *shardID, *shards)
+	srv := remote.NewGraphServer(eng, p, f.dataDir, f.shardID, f.shards)
 	srv.SetDedup(win)
-	if err := wirePrimaryObs(stdout, *obsAddr, eng, srv, win, *shardID); err != nil {
+	if err := wirePrimaryObs(stdout, f.obsAddr, eng, srv, win, f.shardID); err != nil {
 		ln.Close()
 		return err
 	}
-	return servePrimary(stdout, ln, sigs, srv.Serve, srv.Close, eng, t0, *shardID, *shards)
+	return servePrimary(stdout, ln, sigs, srv.Serve, srv.Close, eng, t0, f.shardID, f.shards)
 }
 
 // wirePrimaryObs mounts the observability plane of a primary: the

@@ -97,27 +97,16 @@ func runKillTest(dir string, n int) {
 // operational "is this directory intact?" probe.
 func runRecoverOnly(dir string, weighted bool) {
 	t0 := time.Now()
-	var (
-		n, m  uint64
-		stamp uint64
-		err   error
-	)
-	if weighted {
-		var g aspen.WeightedGraph
-		g, stamp, err = stream.LoadWeightedGraph(ctree.DefaultParams(), dir)
-		if err == nil {
-			n, m = uint64(g.Order()), g.NumEdges()
-		}
-	} else {
-		var g aspen.Graph
-		g, stamp, err = stream.LoadGraph(ctree.DefaultParams(), dir)
-		if err == nil {
-			n, m = uint64(g.Order()), g.NumEdges()
-		}
-	}
+	n, m, stamp, err := driverFor(weighted).recoverOnly(dir)
 	if err != nil {
 		fatal("recover %s: %v", dir, err)
 	}
 	fmt.Printf("recovered %s in %v: %d vertices, %d edges, %d batches applied\n",
 		dir, time.Since(t0).Round(time.Millisecond), n, m, stamp)
+}
+
+// recoverOnly loads dir's newest recoverable state.
+func (graphDriver[V]) recoverOnly(dir string) (n, m, stamp uint64, err error) {
+	g, stamp, err := stream.LoadGraphOf[V](ctree.DefaultParams(), dir)
+	return uint64(g.Order()), g.NumEdges(), stamp, err
 }

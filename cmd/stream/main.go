@@ -211,6 +211,7 @@ func main() {
 		return
 	}
 
+	dr := driverFor(*weighted)
 	var runs []runResult
 	addRun := func(rr runResult) {
 		printRun(rr)
@@ -224,17 +225,17 @@ func main() {
 		return false
 	}
 	if *isolate && !interrupted() {
-		addRun(oneRun(cfg, 0, "update-only", *duration, true, stop))
+		addRun(dr.oneRun(cfg, 0, "update-only", *duration, true, stop))
 	}
 	for _, r := range readerCounts {
 		if interrupted() {
 			break
 		}
-		addRun(oneRun(cfg, r, fmt.Sprintf("%d readers", r), *duration, true, stop))
+		addRun(dr.oneRun(cfg, r, fmt.Sprintf("%d readers", r), *duration, true, stop))
 	}
 	if *isolate && !interrupted() {
 		last := readerCounts[len(readerCounts)-1]
-		addRun(oneRun(cfg, last, fmt.Sprintf("query-only (%d readers)", last), *duration, false, stop))
+		addRun(dr.oneRun(cfg, last, fmt.Sprintf("query-only (%d readers)", last), *duration, false, stop))
 	}
 
 	if *jsonOut != "" {
@@ -296,18 +297,43 @@ func weightOf(i uint64) float32 {
 	return 1 + float32(xhash.Mix64(i)%1000)/1000
 }
 
-// weightedBatch maps a directed edge range of the generator onto
-// symmetrized weighted updates.
-func weightedBatch(gen rmat.Generator, lo, hi uint64) []aspen.WeightedEdge {
-	es := gen.Edges(lo, hi)
-	out := make([]aspen.WeightedEdge, 0, 2*len(es))
-	for j, e := range es {
-		w := weightOf(lo + uint64(j))
-		out = append(out,
-			aspen.WeightedEdge{Src: e.Src, Dst: e.Dst, Weight: w},
-			aspen.WeightedEdge{Src: e.Dst, Dst: e.Src, Weight: w})
+// driver is the payload-dependent half of the command: every experiment
+// that builds graphs or edges goes through it. driverFor picks its
+// instantiation from the -weighted flag.
+type driver interface {
+	oneRun(cfg config, readers int, name string, d time.Duration, withWriter bool, stop <-chan struct{}) runResult
+	oneShardRun(cfg config, s, readers int, d, pace time.Duration, stop <-chan struct{}) shard.Report
+	dialRemote(cfg config, part shard.Partitioner, primaries, replicas []string, ro remote.Options,
+		d time.Duration, stop <-chan struct{}) (run func(readers int, pace time.Duration) remote.Report, closeFn func())
+	recoverOnly(dir string) (n, m, stamp uint64, err error)
+}
+
+// driverFor returns the float32-weighted driver under -weighted, the
+// id-only one otherwise.
+func driverFor(weighted bool) driver {
+	if weighted {
+		return graphDriver[float32]{val: weightOf}
 	}
-	return out
+	return graphDriver[struct{}]{val: func(uint64) struct{} { return struct{}{} }}
+}
+
+// graphDriver runs the experiments over aspen graphs whose stream edge i
+// carries payload val(i).
+type graphDriver[V ctree.Value] struct {
+	val func(i uint64) V
+}
+
+// edges maps directed edge ranges of the generator onto symmetrized
+// updates.
+func (dr graphDriver[V]) edges(gen rmat.Generator) func(lo, hi uint64) []aspen.EdgeOf[V] {
+	return func(lo, hi uint64) []aspen.EdgeOf[V] {
+		es := gen.Edges(lo, hi)
+		out := make([]aspen.EdgeOf[V], len(es))
+		for j, e := range es {
+			out[j] = aspen.EdgeOf[V]{Val: dr.val(lo + uint64(j)), Src: e.Src, Dst: e.Dst}
+		}
+		return aspen.MakeUndirected(out)
+	}
 }
 
 // preload pushes the initial edge set through a durable engine's own
@@ -349,87 +375,47 @@ func closeEngine[G ligra.Graph, E any](e *stream.Engine[G, E]) {
 // query-latency baseline). With cfg.Data set the engine is durable: it
 // recovers the directory's prior state, logs every commit, and writes a
 // final checkpoint on close; stop (when non-nil) ends the run early.
-func oneRun(cfg config, readers int, name string, d time.Duration, withWriter bool, stop <-chan struct{}) runResult {
-	gen := rmat.NewGenerator(cfg.Scale, cfg.Seed)
+func (dr graphDriver[V]) oneRun(cfg config, readers int, name string, d time.Duration, withWriter bool, stop <-chan struct{}) runResult {
+	edges := dr.edges(rmat.NewGenerator(cfg.Scale, cfg.Seed))
 	opts := stream.Options{QueueCap: cfg.QueueCap, MaxCoalesce: cfg.MaxCoalesce,
 		PrebuildFlat: cfg.PrebuildFlat, PatchFlat: cfg.PatchFlat, PriorityEdges: cfg.Priority,
 		TraceSlow: time.Duration(cfg.TraceSlowNS)}
-	var rep stream.Report
-	var ccq *algos.IncrementalCC
-	if cfg.Weighted {
-		var e *stream.Engine[aspen.WeightedGraph, aspen.WeightedEdge]
-		if cfg.Data != "" {
-			var err error
-			e, err = stream.RecoverWeightedEngine(ctree.DefaultParams(), opts, cfg.durability())
-			if err != nil {
-				fatal("recover %s: %v", cfg.Data, err)
-			}
-			preload(e, weightedBatch(gen, 0, cfg.InitEdges))
-		} else {
-			g := aspen.NewWeightedGraph().InsertEdges(weightedBatch(gen, 0, cfg.InitEdges))
-			e = stream.NewWeightedEngine(g, opts)
+	var e *stream.Engine[aspen.GraphOf[V], aspen.EdgeOf[V]]
+	if cfg.Data != "" {
+		var err error
+		e, err = stream.RecoverGraphEngineOf[V](ctree.DefaultParams(), opts, cfg.durability())
+		if err != nil {
+			fatal("recover %s: %v", cfg.Data, err)
 		}
-		if cfg.IncCC {
-			// Attached after the preload flush (ingest is quiescent here):
-			// the bootstrap covers the initial graph, the commit hook
-			// everything after.
-			ccq = stream.AttachWeightedIncrementalCC(e)
-		}
-		mountEngineObs(e)
-		w := stream.Workload[aspen.WeightedGraph, aspen.WeightedEdge]{
-			Engine:   e,
-			Readers:  readers,
-			Kernels:  weightedKernels(cfg, ccq),
-			Duration: d,
-			Interval: time.Duration(cfg.IntervalNS),
-			UseFlat:  cfg.Flat,
-			Stop:     stop,
-		}
-		if withWriter {
-			w.NextBatch = stream.UpdateScheduleMix(cfg.InitEdges, cfg.Batch, cfg.DelPeriod,
-				func(lo, hi uint64) []aspen.WeightedEdge { return weightedBatch(gen, lo, hi) })
-		}
-		rep = w.Run()
-		if cfg.TraceSlowNS > 0 {
-			dumpSlowTraces(e.Tracer(), time.Duration(cfg.TraceSlowNS))
-		}
-		closeEngine(e)
+		preload(e, edges(0, cfg.InitEdges))
 	} else {
-		var e *stream.Engine[aspen.Graph, aspen.Edge]
-		if cfg.Data != "" {
-			var err error
-			e, err = stream.RecoverGraphEngine(ctree.DefaultParams(), opts, cfg.durability())
-			if err != nil {
-				fatal("recover %s: %v", cfg.Data, err)
-			}
-			preload(e, aspen.MakeUndirected(gen.Edges(0, cfg.InitEdges)))
-		} else {
-			g := aspen.NewGraph(ctree.DefaultParams()).InsertEdges(aspen.MakeUndirected(gen.Edges(0, cfg.InitEdges)))
-			e = stream.NewGraphEngine(g, opts)
-		}
-		if cfg.IncCC {
-			ccq = stream.AttachGraphIncrementalCC(e)
-		}
-		mountEngineObs(e)
-		w := stream.Workload[aspen.Graph, aspen.Edge]{
-			Engine:   e,
-			Readers:  readers,
-			Kernels:  unweightedKernels(cfg, ccq),
-			Duration: d,
-			Interval: time.Duration(cfg.IntervalNS),
-			UseFlat:  cfg.Flat,
-			Stop:     stop,
-		}
-		if withWriter {
-			w.NextBatch = stream.UpdateScheduleMix(cfg.InitEdges, cfg.Batch, cfg.DelPeriod,
-				func(lo, hi uint64) []aspen.Edge { return aspen.MakeUndirected(gen.Edges(lo, hi)) })
-		}
-		rep = w.Run()
-		if cfg.TraceSlowNS > 0 {
-			dumpSlowTraces(e.Tracer(), time.Duration(cfg.TraceSlowNS))
-		}
-		closeEngine(e)
+		e = stream.NewGraphEngine(aspen.NewGraphOf[V](ctree.DefaultParams()).InsertEdges(edges(0, cfg.InitEdges)), opts)
 	}
+	var ccq *algos.IncrementalCC
+	if cfg.IncCC {
+		// Attached after the preload flush (ingest is quiescent here):
+		// the bootstrap covers the initial graph, the commit hook
+		// everything after.
+		ccq = stream.AttachGraphIncrementalCC(e)
+	}
+	mountEngineObs(e)
+	w := stream.Workload[aspen.GraphOf[V], aspen.EdgeOf[V]]{
+		Engine:   e,
+		Readers:  readers,
+		Kernels:  engineKernels[aspen.GraphOf[V]](cfg, ccq),
+		Duration: d,
+		Interval: time.Duration(cfg.IntervalNS),
+		UseFlat:  cfg.Flat,
+		Stop:     stop,
+	}
+	if withWriter {
+		w.NextBatch = stream.UpdateScheduleMix(cfg.InitEdges, cfg.Batch, cfg.DelPeriod, edges)
+	}
+	rep := w.Run()
+	if cfg.TraceSlowNS > 0 {
+		dumpSlowTraces(e.Tracer(), time.Duration(cfg.TraceSlowNS))
+	}
+	closeEngine(e)
 	rr := runResult{Name: name, Report: rep}
 	if ccq != nil {
 		st := ccq.Stats()
@@ -447,64 +433,19 @@ func srcCycler(n uint32) func() uint32 {
 	}
 }
 
-func unweightedKernels(cfg config, ccq *algos.IncrementalCC) []stream.Kernel[aspen.Graph] {
-	n := uint32(1) << cfg.Scale
-	var ks []stream.Kernel[aspen.Graph]
-	for _, a := range strings.Split(cfg.Algos, ",") {
-		switch strings.TrimSpace(a) {
-		case "bfs":
-			src := srcCycler(n)
-			ks = append(ks, stream.Kernel[aspen.Graph]{Name: "bfs",
-				Run:     func(g aspen.Graph) { algos.BFS(g, src(), false) },
-				RunFlat: func(g ligra.Graph) { algos.BFS(g, src(), false) }})
-		case "cc":
-			ks = append(ks, stream.Kernel[aspen.Graph]{Name: "cc",
-				Run:     func(g aspen.Graph) { algos.ConnectedComponents(g) },
-				RunFlat: func(g ligra.Graph) { algos.ConnectedComponents(g) }})
-		case "sssp":
-			fatal("sssp requires -weighted")
-		default:
-			fatal("unknown algo %q", a)
-		}
+// engineKernels lifts the -algos kernels to an engine's snapshot type G,
+// plus the standing inc-cc query when one is maintained.
+func engineKernels[G ligra.Graph](cfg config, ccq *algos.IncrementalCC) []stream.Kernel[G] {
+	var ks []stream.Kernel[G]
+	for _, k := range kernels(cfg) {
+		ks = append(ks, stream.Kernel[G]{Name: k.Name, Run: func(g G) { k.Run(g) }, RunFlat: k.Run})
 	}
 	if ccq != nil {
 		// The standing structure answers from its arrays — no kernel run,
 		// no transaction snapshot needed; its latency row is the point.
-		src := srcCycler(n)
-		ks = append(ks, stream.Kernel[aspen.Graph]{Name: "inccc",
-			Run:     func(aspen.Graph) { ccq.Component(src()) },
-			RunFlat: func(ligra.Graph) { ccq.Component(src()) }})
-	}
-	return ks
-}
-
-func weightedKernels(cfg config, ccq *algos.IncrementalCC) []stream.Kernel[aspen.WeightedGraph] {
-	n := uint32(1) << cfg.Scale
-	var ks []stream.Kernel[aspen.WeightedGraph]
-	for _, a := range strings.Split(cfg.Algos, ",") {
-		switch strings.TrimSpace(a) {
-		case "bfs":
-			src := srcCycler(n)
-			ks = append(ks, stream.Kernel[aspen.WeightedGraph]{Name: "bfs",
-				Run:     func(g aspen.WeightedGraph) { algos.BFS(g, src(), false) },
-				RunFlat: func(g ligra.Graph) { algos.BFS(g, src(), false) }})
-		case "cc":
-			ks = append(ks, stream.Kernel[aspen.WeightedGraph]{Name: "cc",
-				Run:     func(g aspen.WeightedGraph) { algos.ConnectedComponents(g) },
-				RunFlat: func(g ligra.Graph) { algos.ConnectedComponents(g) }})
-		case "sssp":
-			src := srcCycler(n)
-			ks = append(ks, stream.Kernel[aspen.WeightedGraph]{Name: "sssp",
-				Run:     func(g aspen.WeightedGraph) { algos.SSSP(g, src()) },
-				RunFlat: func(g ligra.Graph) { algos.SSSP(g.(ligra.WeightedGraph), src()) }})
-		default:
-			fatal("unknown algo %q", a)
-		}
-	}
-	if ccq != nil {
-		src := srcCycler(n)
-		ks = append(ks, stream.Kernel[aspen.WeightedGraph]{Name: "inccc",
-			Run:     func(aspen.WeightedGraph) { ccq.Component(src()) },
+		src := srcCycler(uint32(1) << cfg.Scale)
+		ks = append(ks, stream.Kernel[G]{Name: "inccc",
+			Run:     func(G) { ccq.Component(src()) },
 			RunFlat: func(ligra.Graph) { ccq.Component(src()) }})
 	}
 	return ks
@@ -548,7 +489,7 @@ func shardSweep(ctx context.Context, cfg config, shardCounts, readerCounts []int
 					rep = oneShardRunSingle(cfg, r, d, pace, stop)
 					base = rep.UpdatesPerSec
 				} else {
-					rep = oneShardRun(cfg, s, r, d, pace, stop)
+					rep = driverFor(cfg.Weighted).oneShardRun(cfg, s, r, d, pace, stop)
 				}
 				printShardRun(name, rep, base)
 				out = append(out, shardRunResult{Name: name, Shards: max(s, 1), Report: rep})
@@ -566,9 +507,9 @@ func shardPartitioner(cfg config, s int) shard.Partitioner {
 	return shard.NewRangePartitioner(s, uint32(1)<<cfg.Scale)
 }
 
-// shardKernels adapts the -algos list to sharded views (both tree and
-// stitched flat arrive as ligra.Graph; weighted kernels type-assert).
-func shardKernels(cfg config) []shard.Kernel {
+// kernels adapts the -algos list to ligra.Graph views (tree snapshots,
+// flat and stitched views alike; weighted kernels type-assert).
+func kernels(cfg config) []shard.Kernel {
 	n := uint32(1) << cfg.Scale
 	var ks []shard.Kernel
 	for _, a := range strings.Split(cfg.Algos, ",") {
@@ -595,36 +536,21 @@ func shardKernels(cfg config) []shard.Kernel {
 }
 
 // oneShardRun executes one sharded run at s shards.
-func oneShardRun(cfg config, s, readers int, d, pace time.Duration, stop <-chan struct{}) shard.Report {
-	gen := rmat.NewGenerator(cfg.Scale, cfg.Seed)
+func (dr graphDriver[V]) oneShardRun(cfg config, s, readers int, d, pace time.Duration, stop <-chan struct{}) shard.Report {
+	edges := dr.edges(rmat.NewGenerator(cfg.Scale, cfg.Seed))
 	part := shardPartitioner(cfg, s)
 	opts := stream.Options{QueueCap: cfg.QueueCap, MaxCoalesce: cfg.MaxCoalesce,
 		PrebuildFlat: cfg.PrebuildFlat, PatchFlat: cfg.PatchFlat, PriorityEdges: cfg.Priority,
 		TraceSlow: time.Duration(cfg.TraceSlowNS)}
-	if cfg.Weighted {
-		// Initial load outside the serving path (NewWeightedClusterFrom),
-		// matching how the single-engine baseline preloads before engine
-		// construction — counters and latency digests see only the stream.
-		c := shard.NewWeightedClusterFrom(part, ctree.DefaultParams(), weightedBatch(gen, 0, cfg.InitEdges), opts)
-		mountClusterObs(c)
-		w := shard.Workload[aspen.WeightedGraph, aspen.WeightedEdge]{
-			Cluster: c, Readers: readers, Kernels: shardKernels(cfg),
-			Duration: d, Interval: pace, UseFlat: cfg.Flat, Stop: stop,
-			NextBatch: stream.UpdateScheduleMix(cfg.InitEdges, cfg.Batch, cfg.DelPeriod,
-				func(lo, hi uint64) []aspen.WeightedEdge { return weightedBatch(gen, lo, hi) }),
-		}
-		rep := w.Run()
-		c.Close()
-		return rep
-	}
-	c := shard.NewGraphClusterFrom(part, ctree.DefaultParams(),
-		aspen.MakeUndirected(gen.Edges(0, cfg.InitEdges)), opts)
+	// Initial load outside the serving path (NewGraphClusterFrom), matching
+	// how the single-engine baseline preloads before engine construction —
+	// counters and latency digests see only the stream.
+	c := shard.NewGraphClusterFrom(part, ctree.DefaultParams(), edges(0, cfg.InitEdges), opts)
 	mountClusterObs(c)
-	w := shard.Workload[aspen.Graph, aspen.Edge]{
-		Cluster: c, Readers: readers, Kernels: shardKernels(cfg),
+	w := shard.Workload[aspen.GraphOf[V], aspen.EdgeOf[V]]{
+		Cluster: c, Readers: readers, Kernels: kernels(cfg),
 		Duration: d, Interval: pace, UseFlat: cfg.Flat, Stop: stop,
-		NextBatch: stream.UpdateScheduleMix(cfg.InitEdges, cfg.Batch, cfg.DelPeriod,
-			func(lo, hi uint64) []aspen.Edge { return aspen.MakeUndirected(gen.Edges(lo, hi)) }),
+		NextBatch: stream.UpdateScheduleMix(cfg.InitEdges, cfg.Batch, cfg.DelPeriod, edges),
 	}
 	rep := w.Run()
 	c.Close()
@@ -636,7 +562,7 @@ func oneShardRun(cfg config, s, readers int, d, pace time.Duration, stop <-chan 
 func oneShardRunSingle(cfg config, readers int, d, pace time.Duration, stop <-chan struct{}) shard.Report {
 	pacedCfg := cfg
 	pacedCfg.IntervalNS = pace.Nanoseconds()
-	rr := oneRun(pacedCfg, readers, "baseline", d, true, stop)
+	rr := driverFor(cfg.Weighted).oneRun(pacedCfg, readers, "baseline", d, true, stop)
 	r := rr.Report
 	return shard.Report{
 		Shards: 1, Duration: r.Duration, Readers: r.Readers,

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/aspen"
 	"repro/internal/rmat"
+	"repro/internal/shard"
 	"repro/internal/shard/remote"
 	"repro/internal/stream"
 )
@@ -54,44 +55,7 @@ func runRemote(ctx context.Context, cfg config, connect, readFrom string, ro rem
 		}
 	}
 	part := shardPartitioner(cfg, len(primaries))
-	stop := ctx.Done()
-	gen := rmat.NewGenerator(cfg.Scale, cfg.Seed)
-
-	var oneRun func(readers int, pace time.Duration) remote.Report
-	var closeC func()
-	if cfg.Weighted {
-		c, err := remote.DialWeighted(part, primaries, replicas, ro)
-		if err != nil {
-			fatal("%v", err)
-		}
-		closeC = c.Close
-		mountRemoteObs(c)
-		next := persistentSchedule(stream.UpdateScheduleMix(0, cfg.Batch, cfg.DelPeriod,
-			func(lo, hi uint64) []aspen.WeightedEdge { return weightedBatch(gen, lo, hi) }))
-		oneRun = func(readers int, pace time.Duration) remote.Report {
-			w := &remote.Workload[aspen.WeightedEdge]{
-				Cluster: c, NextBatch: next, Readers: readers,
-				Kernels: shardKernels(cfg), Duration: d, Interval: pace, Stop: stop,
-			}
-			return w.Run()
-		}
-	} else {
-		c, err := remote.DialGraph(part, primaries, replicas, ro)
-		if err != nil {
-			fatal("%v", err)
-		}
-		closeC = c.Close
-		mountRemoteObs(c)
-		next := persistentSchedule(stream.UpdateScheduleMix(0, cfg.Batch, cfg.DelPeriod,
-			func(lo, hi uint64) []aspen.Edge { return aspen.MakeUndirected(gen.Edges(lo, hi)) }))
-		oneRun = func(readers int, pace time.Duration) remote.Report {
-			w := &remote.Workload[aspen.Edge]{
-				Cluster: c, NextBatch: next, Readers: readers,
-				Kernels: shardKernels(cfg), Duration: d, Interval: pace, Stop: stop,
-			}
-			return w.Run()
-		}
-	}
+	oneRun, closeC := driverFor(cfg.Weighted).dialRemote(cfg, part, primaries, replicas, ro, d, ctx.Done())
 	defer closeC()
 
 	paceModes := []time.Duration{0}
@@ -211,4 +175,25 @@ type remoteBenchDoc struct {
 type remoteDoc struct {
 	Config config            `json:"config"`
 	Runs   []remoteRunResult `json:"runs"`
+}
+
+// dialRemote connects the cluster client and returns the per-run driver
+// over it plus the client's close.
+func (dr graphDriver[V]) dialRemote(cfg config, part shard.Partitioner, primaries, replicas []string, ro remote.Options,
+	d time.Duration, stop <-chan struct{}) (func(readers int, pace time.Duration) remote.Report, func()) {
+	c, err := remote.DialGraphOf[V](part, primaries, replicas, ro)
+	if err != nil {
+		fatal("%v", err)
+	}
+	mountRemoteObs(c)
+	next := persistentSchedule(stream.UpdateScheduleMix(0, cfg.Batch, cfg.DelPeriod,
+		dr.edges(rmat.NewGenerator(cfg.Scale, cfg.Seed))))
+	run := func(readers int, pace time.Duration) remote.Report {
+		w := &remote.Workload[aspen.EdgeOf[V]]{
+			Cluster: c, NextBatch: next, Readers: readers,
+			Kernels: kernels(cfg), Duration: d, Interval: pace, Stop: stop,
+		}
+		return w.Run()
+	}
+	return run, c.Close
 }

@@ -10,19 +10,20 @@ import (
 
 	"repro/internal/algos"
 	"repro/internal/aspen"
+	"repro/internal/ctree"
 )
 
 func main() {
 	// A small road-network-like weighted graph. Roads are symmetric, so
 	// each segment is inserted in both directions with the same weight.
-	g := aspen.NewWeightedGraph().InsertEdges(aspen.MakeUndirectedWeighted([]aspen.WeightedEdge{
-		{Src: 0, Dst: 1, Weight: 4},
-		{Src: 1, Dst: 2, Weight: 3},
-		{Src: 0, Dst: 3, Weight: 10},
-		{Src: 2, Dst: 3, Weight: 2},
+	g := aspen.NewGraphOf[float32](ctree.DefaultParams()).InsertEdges(aspen.MakeUndirected([]aspen.WeightedEdge{
+		{Src: 0, Dst: 1, Val: 4},
+		{Src: 1, Dst: 2, Val: 3},
+		{Src: 0, Dst: 3, Val: 10},
+		{Src: 2, Dst: 3, Val: 2},
 	}))
 	fmt.Printf("network: %d nodes, %d directed road segments, total length %.0f\n",
-		g.NumVertices(), g.NumEdges(), g.TotalWeight())
+		g.NumVertices(), g.NumEdges(), aspen.TotalWeight(g))
 	s := g.Stats()
 	fmt.Printf("compressed weighted adjacency: %d chunk bytes (ids + weights interleaved)\n",
 		s.Edge.ChunkBytes)
@@ -33,8 +34,8 @@ func main() {
 	// A traffic update re-weights segment 1<->2 in place (inserting an
 	// existing edge overwrites its weight); snapshots are persistent, so
 	// the old distances remain queryable.
-	g2 := g.InsertEdges(aspen.MakeUndirectedWeighted([]aspen.WeightedEdge{
-		{Src: 1, Dst: 2, Weight: 20},
+	g2 := g.InsertEdges(aspen.MakeUndirected([]aspen.WeightedEdge{
+		{Src: 1, Dst: 2, Val: 20},
 	}))
 	after := algos.SSSP(g2, 0)
 	fmt.Printf("shortest 0 -> 3 after congestion:  %.0f (direct road wins)\n", after[3])

@@ -137,7 +137,7 @@ func TestFlatMISValid(t *testing.T) {
 
 func TestFlatWeightedMatchesTreeSSSP(t *testing.T) {
 	wg := weightedRMATGraph(10, 6_000, 7)
-	fw := aspen.BuildFlatWeightedSnapshot(wg)
+	fw := aspen.BuildFlatSnapshot(wg)
 	var _ ligra.FlatWeightedGraph = fw
 	for _, src := range []uint32{0, 3, 200} {
 		want := SSSP(wg, src)
@@ -151,7 +151,7 @@ func TestFlatWeightedMatchesTreeUnweightedKernels(t *testing.T) {
 	// The weighted flat view also serves unweighted kernels (weights
 	// dropped), exactly like the weighted tree graph does.
 	wg := weightedRMATGraph(9, 3_000, 8)
-	fw := aspen.BuildFlatWeightedSnapshot(wg)
+	fw := aspen.BuildFlatSnapshot(wg)
 	if !slices.Equal(BFS(fw, 1, false).Distances(), BFS(wg, 1, false).Distances()) {
 		t.Fatal("BFS differs between weighted flat and weighted tree")
 	}

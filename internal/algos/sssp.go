@@ -11,7 +11,7 @@ import (
 // Single-source shortest paths over the weighted traversal interface: a
 // frontier-based Bellman-Ford in the style of Ligra's SSSP, running over
 // WeightedEdgeMap so the exact same code serves Aspen's compressed weighted
-// snapshots and any other engine exposing ForEachNeighborW. Weights must be
+// snapshots and any other engine exposing ForEachNeighborKV. Weights must be
 // non-negative (the atomic write-min below relies on the IEEE-754 ordering
 // of non-negative float bit patterns).
 
@@ -122,7 +122,7 @@ func DijkstraRef(g ligra.WeightedGraph, src uint32) []float32 {
 		if it.dist > dist[it.v] {
 			continue
 		}
-		g.ForEachNeighborW(it.v, func(u uint32, w float32) bool {
+		g.ForEachNeighborKV(it.v, func(u uint32, w float32) bool {
 			if nd := it.dist + w; nd < dist[u] {
 				dist[u] = nd
 				heap.Push(pq, pqItem{v: u, dist: nd})

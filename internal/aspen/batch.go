@@ -6,13 +6,13 @@ import (
 	"repro/internal/pftree"
 )
 
-// This file is the shared batch-update engine behind both Graph (V =
-// struct{}) and WeightedGraph (V = float32): one radix-sorted, fused
-// vertex-tree pass per batch, generic over the edge payload. It is the
-// paper's batch-update algorithm (§5) — sort, group, build per-source edge
-// C-trees, then MultiInsert into the vertex-tree with a combine function
-// that unions edge trees — extended so payloads (edge weights, and any
-// future fixed-width property) ride the same compressed path.
+// This file is the batch-update engine behind GraphOf[V]: one
+// radix-sorted, fused vertex-tree pass per batch, generic over the edge
+// payload. It is the paper's batch-update algorithm (§5) — sort, group,
+// build per-source edge C-trees, then MultiInsert into the vertex-tree with
+// a combine function that unions edge trees — extended so payloads (edge
+// weights, and any future fixed-width property) ride the same compressed
+// path.
 
 // vnode is a vertex-tree node: key = vertex id, value = edge C-tree,
 // augmented with the total number of edges in the subtree so NumEdges is
@@ -44,13 +44,6 @@ func newVops[V ctree.Value]() *vopsT[V] {
 		},
 	}
 }
-
-// vops and wvops are the two vertex-tree tables instantiated in this
-// repository: the unweighted graph and the float32-weighted graph.
-var (
-	vops  = newVops[struct{}]()
-	wvops = newVops[float32]()
-)
 
 // groupBySourceKV splits the packed sorted batch into per-source runs of
 // destination ids and (when vals is non-nil) the aligned payload runs.

@@ -3,6 +3,7 @@ package aspen
 import (
 	"testing"
 
+	"repro/internal/ctree"
 	"repro/internal/parallel"
 	"repro/internal/xhash"
 )
@@ -12,8 +13,8 @@ import (
 // weighted graph on degrees, presence, neighbor order and weights.
 func TestFlatWeightedSnapshotMatchesGraph(t *testing.T) {
 	r := xhash.NewRNG(51)
-	g := NewWeightedGraph().InsertEdges(randomWeightedBatch(r, 3000, 500))
-	fs := BuildFlatWeightedSnapshot(g)
+	g := NewGraphOf[float32](ctree.DefaultParams()).InsertEdges(randomWeightedBatch(r, 3000, 500))
+	fs := BuildFlatSnapshot(g)
 	if fs.Order() != g.Order() || fs.NumEdges() != g.NumEdges() {
 		t.Fatal("flat weighted snapshot header mismatch")
 	}
@@ -33,8 +34,8 @@ func TestFlatWeightedSnapshotMatchesGraph(t *testing.T) {
 			w float32
 		}
 		var a, b []nbr
-		g.ForEachNeighborW(u, func(v uint32, w float32) bool { a = append(a, nbr{v, w}); return true })
-		fs.ForEachNeighborW(u, func(v uint32, w float32) bool { b = append(b, nbr{v, w}); return true })
+		g.ForEachNeighborKV(u, func(v uint32, w float32) bool { a = append(a, nbr{v, w}); return true })
+		fs.ForEachNeighborKV(u, func(v uint32, w float32) bool { b = append(b, nbr{v, w}); return true })
 		if len(a) != len(b) {
 			t.Fatalf("neighbor count mismatch at %d", u)
 		}
@@ -46,8 +47,8 @@ func TestFlatWeightedSnapshotMatchesGraph(t *testing.T) {
 	}
 	// Point lookups agree too.
 	for u := uint32(0); int(u) < g.Order(); u += 13 {
-		g.ForEachNeighborW(u, func(v uint32, w float32) bool {
-			fw, ok := fs.Weight(u, v)
+		g.ForEachNeighborKV(u, func(v uint32, w float32) bool {
+			fw, ok := fs.Value(u, v)
 			if !ok || fw != w {
 				t.Fatalf("Weight(%d,%d) = %v,%v, want %v", u, v, fw, ok, w)
 			}
@@ -88,7 +89,7 @@ func TestFlatSnapshotTotality(t *testing.T) {
 	r := xhash.NewRNG(53)
 	g := NewGraph(params()).InsertEdges(randomEdges(r, 500, 100))
 	fs := BuildFlatSnapshot(g)
-	fw := BuildFlatWeightedSnapshot(NewWeightedGraph().InsertEdges(randomWeightedBatch(r, 500, 100)))
+	fw := BuildFlatSnapshot(NewGraphOf[float32](ctree.DefaultParams()).InsertEdges(randomWeightedBatch(r, 500, 100)))
 	for _, u := range []uint32{uint32(g.Order()), uint32(g.Order()) + 1, 1 << 30, ^uint32(0)} {
 		if fs.Degree(u) != 0 || fw.Degree(u) != 0 {
 			t.Fatalf("out-of-range degree(%d) != 0", u)
@@ -98,11 +99,11 @@ func TestFlatSnapshotTotality(t *testing.T) {
 		}
 		fs.ForEachNeighbor(u, func(uint32) bool { t.Fatalf("neighbor yielded for %d", u); return false })
 		fs.ForEachNeighborPar(u, func(uint32) { t.Errorf("parallel neighbor yielded for %d", u) })
-		fw.ForEachNeighborW(u, func(uint32, float32) bool { t.Fatalf("weighted neighbor yielded for %d", u); return false })
+		fw.ForEachNeighborKV(u, func(uint32, float32) bool { t.Fatalf("weighted neighbor yielded for %d", u); return false })
 		if _, ok := fs.EdgeTree(u); ok {
 			t.Fatalf("out-of-range EdgeTree(%d) present", u)
 		}
-		if _, ok := fw.Weight(u, 0); ok {
+		if _, ok := fw.Value(u, 0); ok {
 			t.Fatalf("out-of-range Weight(%d) present", u)
 		}
 	}

@@ -62,19 +62,15 @@ type FlatView[V ctree.Value] struct {
 	root     *vnode[V] // identity of the snapshot the view was built from
 }
 
-// FlatSnapshot is the unweighted flat view (the paper's original §5.1
+// FlatSnapshot is the id-only flat view (the paper's original §5.1
 // structure). It satisfies ligra.Graph, ligra.ParallelNeighborGraph and
 // ligra.FlatGraph.
-type FlatSnapshot struct {
-	FlatView[struct{}]
-}
+type FlatSnapshot = FlatView[struct{}]
 
 // FlatWeightedSnapshot is the flat view of a WeightedGraph. It additionally
 // satisfies ligra.WeightedGraph and ligra.FlatWeightedGraph, so weighted
 // kernels (SSSP) skip the vertex-tree lookups too.
-type FlatWeightedSnapshot struct {
-	FlatView[float32]
-}
+type FlatWeightedSnapshot = FlatView[float32]
 
 // flatPageCount returns the number of pages covering an id space of size
 // order.
@@ -191,13 +187,9 @@ func patchFlatView[V ctree.Value](ops *vopsT[V], prev *FlatView[V], vt *vnode[V]
 }
 
 // BuildFlatSnapshot materializes the flat view of g.
-func BuildFlatSnapshot(g Graph) *FlatSnapshot {
-	return &FlatSnapshot{buildFlatView(vops, g.vt, g.Order(), g.NumEdges())}
-}
-
-// BuildFlatWeightedSnapshot materializes the flat view of the weighted g.
-func BuildFlatWeightedSnapshot(g WeightedGraph) *FlatWeightedSnapshot {
-	return &FlatWeightedSnapshot{buildFlatView(wvops, g.vt, g.Order(), g.NumEdges())}
+func BuildFlatSnapshot[V ctree.Value](g GraphOf[V]) *FlatView[V] {
+	fv := buildFlatView(g.ops(), g.vt, g.Order(), g.NumEdges())
+	return &fv
 }
 
 // PatchFlatSnapshot returns the flat view of g derived from prev, a view of
@@ -206,25 +198,15 @@ func BuildFlatWeightedSnapshot(g WeightedGraph) *FlatWeightedSnapshot {
 // prev falls back to a full build; a prev already current for g is returned
 // as-is. The result is equivalent to BuildFlatSnapshot(g) in every
 // observable way.
-func PatchFlatSnapshot(prev *FlatSnapshot, g Graph) *FlatSnapshot {
+func PatchFlatSnapshot[V ctree.Value](prev *FlatView[V], g GraphOf[V]) *FlatView[V] {
 	if prev == nil {
 		return BuildFlatSnapshot(g)
 	}
 	if prev.root == g.vt {
 		return prev
 	}
-	return &FlatSnapshot{patchFlatView(vops, &prev.FlatView, g.vt, g.Order(), g.NumEdges())}
-}
-
-// PatchFlatWeightedSnapshot is the weighted analogue of PatchFlatSnapshot.
-func PatchFlatWeightedSnapshot(prev *FlatWeightedSnapshot, g WeightedGraph) *FlatWeightedSnapshot {
-	if prev == nil {
-		return BuildFlatWeightedSnapshot(g)
-	}
-	if prev.root == g.vt {
-		return prev
-	}
-	return &FlatWeightedSnapshot{patchFlatView(wvops, &prev.FlatView, g.vt, g.Order(), g.NumEdges())}
+	fv := patchFlatView(g.ops(), prev, g.vt, g.Order(), g.NumEdges())
+	return &fv
 }
 
 // Order returns the vertex-id space size.
@@ -285,7 +267,8 @@ func (fv *FlatView[V]) ForEachNeighborPar(u uint32, f func(v uint32)) {
 }
 
 // ForEachNeighborKV applies f to u's (neighbor, payload) pairs in increasing
-// neighbor order until f returns false.
+// neighbor order until f returns false — on a FlatWeightedSnapshot, the
+// ligra.WeightedGraph capability.
 func (fv *FlatView[V]) ForEachNeighborKV(u uint32, f func(v uint32, val V) bool) {
 	if int(u) >= fv.order {
 		return
@@ -339,48 +322,29 @@ func (fv *FlatView[V]) SharedMemoryBytes() uint64 {
 	return uint64(shared) * flatPageSize * (8 + 1)
 }
 
-// sameRoot reports whether the view was built from exactly the given
-// vertex-tree root (pointer identity — functional updates always produce a
-// fresh root).
-func (fv *FlatView[V]) sameRoot(root *vnode[V]) bool { return fv.root == root }
+// Current reports whether fv still reflects g — i.e. it was built from
+// g's exact immutable snapshot (pointer identity of the vertex-tree root;
+// functional updates always produce a fresh root). A false result means g
+// is a different (typically newer) version and the view, while still safe
+// to use, answers queries about the version it was built from. Compiled
+// with -tags aspendebug, MustCurrent turns a mismatch into a panic.
+func (fv *FlatView[V]) Current(g GraphOf[V]) bool { return fv.root == g.vt }
 
-// Current reports whether fs still reflects g — i.e. it was built from g's
-// exact immutable snapshot. A false result means g is a different (typically
-// newer) version and the view, while still safe to use, answers queries
-// about the version it was built from. Compiled with -tags aspendebug,
-// MustCurrent turns a mismatch into a panic.
-func (fs *FlatSnapshot) Current(g Graph) bool { return fs.sameRoot(g.vt) }
-
-// Current is the weighted analogue of FlatSnapshot.Current.
-func (fs *FlatWeightedSnapshot) Current(g WeightedGraph) bool { return fs.sameRoot(g.vt) }
-
-// MustCurrent panics when fs was not built from g's exact snapshot. The
+// MustCurrent panics when fv was not built from g's exact snapshot. The
 // check runs only under the aspendebug build tag; release builds compile it
 // to nothing, so hot paths may call it unconditionally.
-func (fs *FlatSnapshot) MustCurrent(g Graph) {
-	if flatDebug && !fs.Current(g) {
+func (fv *FlatView[V]) MustCurrent(g GraphOf[V]) {
+	if flatDebug && !fv.Current(g) {
 		panic("aspen: flat snapshot is stale for this graph version")
 	}
 }
 
-// MustCurrent is the weighted analogue of FlatSnapshot.MustCurrent.
-func (fs *FlatWeightedSnapshot) MustCurrent(g WeightedGraph) {
-	if flatDebug && !fs.Current(g) {
-		panic("aspen: flat snapshot is stale for this graph version")
-	}
-}
-
-// Weight returns the weight of edge (u, v) in O(1) tree access.
-func (fs *FlatWeightedSnapshot) Weight(u, v uint32) (float32, bool) {
-	et, ok := fs.EdgeTree(u)
+// Value returns the payload of edge (u, v) in O(1) tree access.
+func (fv *FlatView[V]) Value(u, v uint32) (V, bool) {
+	et, ok := fv.EdgeTree(u)
 	if !ok {
-		return 0, false
+		var zero V
+		return zero, false
 	}
 	return et.Find(v)
-}
-
-// ForEachNeighborW applies f to u's (neighbor, weight) pairs in increasing
-// neighbor order until f returns false — the ligra.WeightedGraph capability.
-func (fs *FlatWeightedSnapshot) ForEachNeighborW(u uint32, f func(v uint32, w float32) bool) {
-	fs.ForEachNeighborKV(u, f)
 }

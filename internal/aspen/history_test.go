@@ -1,6 +1,7 @@
 package aspen
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/xhash"
@@ -84,5 +85,34 @@ func TestHistoryConcurrentReads(t *testing.T) {
 	<-done
 	if h.Latest().NumEdges() != 50 {
 		t.Fatalf("final edges = %d", h.Latest().NumEdges())
+	}
+}
+
+// TestHistoryConcurrentWriters pins every retained version to the stamp it
+// was published under: with writers racing, AsOf(s) must return exactly
+// the version stamp s published, which also needs the retained stamps in
+// order for AsOf's binary search. Each insert adds one new edge, so the
+// version with stamp s has s edges.
+func TestHistoryConcurrentWriters(t *testing.T) {
+	const writers, perWriter, trials = 8, 20, 20
+	for trial := 0; trial < trials; trial++ {
+		h := NewHistory(NewGraph(params()))
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < perWriter; i++ {
+					h.InsertEdges([]Edge{{Src: uint32(w), Dst: uint32(1000 + i)}})
+				}
+			}(w)
+		}
+		wg.Wait()
+		for s := uint64(0); s <= writers*perWriter; s++ {
+			g, ok := h.AsOf(s)
+			if !ok || g.NumEdges() != s {
+				t.Fatalf("trial %d: AsOf(%d) = %d edges (ok=%v), want %d", trial, s, g.NumEdges(), ok, s)
+			}
+		}
 	}
 }

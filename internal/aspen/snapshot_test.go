@@ -2,9 +2,11 @@ package aspen
 
 import (
 	"bytes"
+	"math"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/ctree"
 	"repro/internal/graphio"
 	"repro/internal/xhash"
 )
@@ -44,12 +46,12 @@ func TestWeightedSnapshotRoundTrip(t *testing.T) {
 	var edges []WeightedEdge
 	for i := 0; i < 500; i++ {
 		edges = append(edges, WeightedEdge{
-			Src:    uint32(r.Next() % 80),
-			Dst:    uint32(r.Next() % 80),
-			Weight: float32(r.Next()%1000) / 7,
+			Src: uint32(r.Next() % 80),
+			Dst: uint32(r.Next() % 80),
+			Val: float32(r.Next()%1000) / 7,
 		})
 	}
-	g := NewWeightedGraph().InsertEdges(MakeUndirectedWeighted(edges))
+	g := NewGraphOf[float32](ctree.DefaultParams()).InsertEdges(MakeUndirected(edges))
 
 	s := g.Snapshot()
 	var buf bytes.Buffer
@@ -60,7 +62,7 @@ func TestWeightedSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := WeightedGraphFromSnapshot(g.Params(), s2)
+	g2, err := GraphFromSnapshotOf[float32](g.Params(), s2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,10 +73,10 @@ func TestWeightedSnapshotRoundTrip(t *testing.T) {
 
 func TestSnapshotWidthMismatch(t *testing.T) {
 	g := NewGraph(params()).InsertEdges([]Edge{{Src: 0, Dst: 1}})
-	if _, err := WeightedGraphFromSnapshot(g.Params(), g.Snapshot()); err == nil {
+	if _, err := GraphFromSnapshotOf[float32](g.Params(), g.Snapshot()); err == nil {
 		t.Fatal("unweighted snapshot accepted as weighted")
 	}
-	w := NewWeightedGraph().InsertEdges([]WeightedEdge{{Src: 0, Dst: 1, Weight: 2}})
+	w := NewGraphOf[float32](ctree.DefaultParams()).InsertEdges([]WeightedEdge{{Src: 0, Dst: 1, Val: 2}})
 	if _, err := GraphFromSnapshot(w.Params(), w.Snapshot()); err == nil {
 		t.Fatal("weighted snapshot accepted as unweighted")
 	}
@@ -109,15 +111,34 @@ func TestGraphEqual(t *testing.T) {
 }
 
 func TestWeightedEqualWeightSensitive(t *testing.T) {
-	e := []WeightedEdge{{Src: 0, Dst: 1, Weight: 1.5}, {Src: 1, Dst: 2, Weight: 2.5}}
-	g1 := NewWeightedGraph().InsertEdges(e)
-	g2 := NewWeightedGraph().InsertEdges(e)
+	e := []WeightedEdge{{Src: 0, Dst: 1, Val: 1.5}, {Src: 1, Dst: 2, Val: 2.5}}
+	g1 := NewGraphOf[float32](ctree.DefaultParams()).InsertEdges(e)
+	g2 := NewGraphOf[float32](ctree.DefaultParams()).InsertEdges(e)
 	if !g1.Equal(g2) {
 		t.Fatal("equal weighted graphs compare unequal")
 	}
-	g3 := g1.InsertEdges([]WeightedEdge{{Src: 0, Dst: 1, Weight: 9}})
+	g3 := g1.InsertEdges([]WeightedEdge{{Src: 0, Dst: 1, Val: 9}})
 	if g1.Equal(g3) {
 		t.Fatal("weight change not detected")
+	}
+}
+
+// Equal compares weights by bit pattern: a NaN weight equals itself, and
+// -0 differs from +0 (both would flip under a plain ==).
+func TestWeightedEqualBitwise(t *testing.T) {
+	nan := float32(math.NaN())
+	negZero := float32(math.Copysign(0, -1))
+	build := func(w float32) WeightedGraph {
+		return NewGraphOf[float32](ctree.DefaultParams()).InsertEdges([]WeightedEdge{{Src: 0, Dst: 1, Val: w}, {Src: 1, Dst: 2, Val: 4}})
+	}
+	if !build(nan).Equal(build(nan)) {
+		t.Fatal("NaN weight does not equal itself")
+	}
+	if build(negZero).Equal(build(0)) {
+		t.Fatal("-0 weight equals +0")
+	}
+	if !build(negZero).Equal(build(negZero)) {
+		t.Fatal("-0 weight does not equal itself")
 	}
 }
 

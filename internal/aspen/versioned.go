@@ -7,8 +7,7 @@ import (
 
 // Versioned maintains an evolving immutable value (a graph snapshot) as a
 // sequence of versions, implementing the acquire / set / release interface
-// of §6 generically: any purely-functional snapshot type works, and the
-// repository instantiates it for both Graph and WeightedGraph. Any number
+// of §6 generically: any purely-functional snapshot type works. Any number
 // of readers may acquire versions concurrently with a single writer; no
 // reader or writer ever blocks another reader. Writers are serialized by an
 // internal mutex, and every update becomes visible atomically, giving
@@ -59,17 +58,11 @@ type Version[G any] struct {
 // NewVersioned wraps an initial snapshot as version 0.
 func NewVersioned[G any](g G) *Versioned[G] {
 	vs := &Versioned[G]{}
-	vs.init(g)
-	return vs
-}
-
-// init installs g as version 0. Wrapper types embed Versioned and must
-// init in place (the initial Version points back at the embedded store).
-func (vs *Versioned[G]) init(g G) {
 	v := &Version[G]{Graph: g, Stamp: 0, vs: vs}
 	v.refs.Store(1) // the store's own reference to the current version
 	vs.live.Store(1)
 	vs.cur.Store(v)
+	return vs
 }
 
 // SetRetireHook registers fn to run when a version is retired (its last
@@ -141,11 +134,22 @@ func (vs *Versioned[G]) publish(g G) *Version[G] {
 // Update applies fn to the latest snapshot and publishes the result,
 // returning the new version's stamp. Writers are serialized; readers are
 // unaffected.
-func (vs *Versioned[G]) Update(fn func(G) G) uint64 {
+func (vs *Versioned[G]) Update(fn func(G) G) uint64 { return vs.update(fn, nil) }
+
+// update is Update that, when pin is non-nil, also hands pin the new
+// version with one extra reference taken, still inside the writer critical
+// section: no other writer can publish in between, so pin sees exactly the
+// version fn produced, and successive pin calls run in stamp order.
+func (vs *Versioned[G]) update(fn func(G) G, pin func(*Version[G])) uint64 {
 	vs.writer.Lock()
 	defer vs.writer.Unlock()
-	cur := vs.cur.Load()
-	v := vs.publish(fn(cur.Graph))
+	v := vs.publish(fn(vs.cur.Load().Graph))
+	if pin != nil {
+		// v is current and the lock bars superseding it, so the store's
+		// own reference keeps the count above zero here.
+		v.refs.Add(1)
+		pin(v)
+	}
 	return v.Stamp
 }
 
@@ -159,59 +163,3 @@ func (vs *Versioned[G]) LiveVersions() int64 { return vs.live.Load() }
 // RetiredVersions returns the number of versions fully drained and
 // retired since construction.
 func (vs *Versioned[G]) RetiredVersions() uint64 { return vs.retired.Load() }
-
-// VersionedGraph is the unweighted instantiation of Versioned with
-// edge-batch conveniences — the acquire/set/release store §6 describes.
-type VersionedGraph struct {
-	Versioned[Graph]
-}
-
-// NewVersionedGraph wraps an initial graph.
-func NewVersionedGraph(g Graph) *VersionedGraph {
-	vg := &VersionedGraph{}
-	vg.Versioned.init(g)
-	return vg
-}
-
-// InsertEdges atomically inserts a batch of directed edges.
-func (vg *VersionedGraph) InsertEdges(edges []Edge) uint64 {
-	return vg.Update(func(g Graph) Graph { return g.InsertEdges(edges) })
-}
-
-// DeleteEdges atomically deletes a batch of directed edges.
-func (vg *VersionedGraph) DeleteEdges(edges []Edge) uint64 {
-	return vg.Update(func(g Graph) Graph { return g.DeleteEdges(edges) })
-}
-
-// InsertVertices atomically inserts vertices.
-func (vg *VersionedGraph) InsertVertices(ids []uint32) uint64 {
-	return vg.Update(func(g Graph) Graph { return g.InsertVertices(ids) })
-}
-
-// DeleteVertices atomically removes vertices and their incident edges.
-func (vg *VersionedGraph) DeleteVertices(ids []uint32) uint64 {
-	return vg.Update(func(g Graph) Graph { return g.DeleteVertices(ids) })
-}
-
-// VersionedWeightedGraph is the weighted instantiation of Versioned with
-// edge-batch conveniences.
-type VersionedWeightedGraph struct {
-	Versioned[WeightedGraph]
-}
-
-// NewVersionedWeightedGraph wraps an initial weighted graph.
-func NewVersionedWeightedGraph(g WeightedGraph) *VersionedWeightedGraph {
-	vg := &VersionedWeightedGraph{}
-	vg.Versioned.init(g)
-	return vg
-}
-
-// InsertEdges atomically inserts a batch of weighted directed edges.
-func (vg *VersionedWeightedGraph) InsertEdges(edges []WeightedEdge) uint64 {
-	return vg.Update(func(g WeightedGraph) WeightedGraph { return g.InsertEdges(edges) })
-}
-
-// DeleteEdges atomically deletes a batch of weighted directed edges.
-func (vg *VersionedWeightedGraph) DeleteEdges(edges []WeightedEdge) uint64 {
-	return vg.Update(func(g WeightedGraph) WeightedGraph { return g.DeleteEdges(edges) })
-}

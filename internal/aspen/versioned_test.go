@@ -10,7 +10,7 @@ import (
 )
 
 func TestAcquireReleaseAccounting(t *testing.T) {
-	vg := NewVersionedGraph(NewGraph(params()))
+	vg := NewVersioned(NewGraph(params()))
 	v1 := vg.Acquire()
 	v2 := vg.Acquire()
 	if v1 != v2 {
@@ -19,16 +19,16 @@ func TestAcquireReleaseAccounting(t *testing.T) {
 	if vg.Release(v1) {
 		t.Fatal("release should not report last while current")
 	}
-	vg.InsertEdges([]Edge{{1, 2}}) // supersedes v1
+	vg.Update(func(g Graph) Graph { return g.InsertEdges([]Edge{{Src: 1, Dst: 2}}) }) // supersedes v1
 	if !vg.Release(v2) {
 		t.Fatal("releasing the last reference of a superseded version should report true")
 	}
 }
 
 func TestUpdateVisibility(t *testing.T) {
-	vg := NewVersionedGraph(NewGraph(params()))
+	vg := NewVersioned(NewGraph(params()))
 	before := vg.Acquire()
-	stamp := vg.InsertEdges(MakeUndirected([]Edge{{1, 2}}))
+	stamp := vg.Update(func(g Graph) Graph { return g.InsertEdges(MakeUndirected([]Edge{{Src: 1, Dst: 2}})) })
 	after := vg.Acquire()
 	if before.Graph.NumEdges() != 0 {
 		t.Fatal("old snapshot observed the update")
@@ -47,7 +47,7 @@ func TestUpdateVisibility(t *testing.T) {
 // a batch inserts a clique edge set atomically, so any snapshot must observe
 // either none or all edges of a batch, never a partial batch.
 func TestSnapshotIsolation(t *testing.T) {
-	vg := NewVersionedGraph(NewGraph(params()))
+	vg := NewVersioned(NewGraph(params()))
 	const batches = 50
 	const perBatch = 20
 	var stop atomic.Bool
@@ -79,7 +79,7 @@ func TestSnapshotIsolation(t *testing.T) {
 				edges[i] = Edge{Src: base, Dst: base + 1}
 			}
 			_ = r
-			vg.InsertEdges(edges)
+			vg.Update(func(g Graph) Graph { return g.InsertEdges(edges) })
 		}
 		stop.Store(true)
 	}()
@@ -95,7 +95,7 @@ func TestSnapshotIsolation(t *testing.T) {
 }
 
 func TestConcurrentWriters(t *testing.T) {
-	vg := NewVersionedGraph(NewGraph(ctree.DefaultParams()))
+	vg := NewVersioned(NewGraph(ctree.DefaultParams()))
 	const writers = 4
 	const each = 25
 	var wg sync.WaitGroup
@@ -105,7 +105,7 @@ func TestConcurrentWriters(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
 				u := uint32(w*1000 + i)
-				vg.InsertEdges([]Edge{{Src: u, Dst: u + 1}})
+				vg.Update(func(g Graph) Graph { return g.InsertEdges([]Edge{{Src: u, Dst: u + 1}}) })
 			}
 		}(w)
 	}
@@ -125,7 +125,7 @@ func TestConcurrentWriters(t *testing.T) {
 // version retires exactly once, no version retires while a reader holds it,
 // and at quiescence only the current version is live.
 func TestRetireHookExactlyOnce(t *testing.T) {
-	vg := NewVersionedGraph(NewGraph(params()))
+	vg := NewVersioned(NewGraph(params()))
 	var mu sync.Mutex
 	retired := map[uint64]int{}
 	vg.SetRetireHook(func(stamp uint64) {
@@ -155,7 +155,7 @@ func TestRetireHookExactlyOnce(t *testing.T) {
 		}()
 	}
 	for i := 0; i < updates && !stop.Load(); i++ {
-		vg.InsertEdges([]Edge{{Src: uint32(2 * i), Dst: uint32(2*i + 1)}})
+		vg.Update(func(g Graph) Graph { return g.InsertEdges([]Edge{{Src: uint32(2 * i), Dst: uint32(2*i + 1)}}) })
 	}
 	stop.Store(true)
 	wg.Wait()
@@ -182,13 +182,13 @@ func TestRetireHookExactlyOnce(t *testing.T) {
 // TestRetireClearsSnapshot checks that a retired version drops its snapshot
 // reference (the memory-reclamation substitute documented in DESIGN.md).
 func TestRetireClearsSnapshot(t *testing.T) {
-	vg := NewVersionedGraph(NewGraph(params()))
-	vg.InsertEdges(MakeUndirected([]Edge{{1, 2}}))
+	vg := NewVersioned(NewGraph(params()))
+	vg.Update(func(g Graph) Graph { return g.InsertEdges(MakeUndirected([]Edge{{Src: 1, Dst: 2}})) })
 	v := vg.Acquire()
 	if v.Graph.NumEdges() != 2 {
 		t.Fatal("acquired snapshot incomplete")
 	}
-	vg.InsertEdges(MakeUndirected([]Edge{{3, 4}})) // supersede v
+	vg.Update(func(g Graph) Graph { return g.InsertEdges(MakeUndirected([]Edge{{Src: 3, Dst: 4}})) }) // supersede v
 	if !vg.Release(v) {
 		t.Fatal("release of last reference should retire")
 	}
@@ -199,14 +199,14 @@ func TestRetireClearsSnapshot(t *testing.T) {
 }
 
 func TestVersionedWeightedGraph(t *testing.T) {
-	vg := NewVersionedWeightedGraph(NewWeightedGraph())
+	vg := NewVersioned(NewGraphOf[float32](ctree.DefaultParams()))
 	before := vg.Acquire()
-	stamp := vg.InsertEdges([]WeightedEdge{{Src: 1, Dst: 2, Weight: 0.5}})
+	stamp := vg.Update(func(g WeightedGraph) WeightedGraph { return g.InsertEdges([]WeightedEdge{{Src: 1, Dst: 2, Val: 0.5}}) })
 	after := vg.Acquire()
 	if before.Graph.NumEdges() != 0 || after.Graph.NumEdges() != 1 {
 		t.Fatal("weighted snapshot isolation violated")
 	}
-	if w, ok := after.Graph.Weight(1, 2); !ok || w != 0.5 {
+	if w, ok := after.Graph.Value(1, 2); !ok || w != 0.5 {
 		t.Fatalf("Weight(1,2) = %v,%v", w, ok)
 	}
 	if after.Stamp != stamp {
@@ -214,7 +214,7 @@ func TestVersionedWeightedGraph(t *testing.T) {
 	}
 	vg.Release(before)
 	vg.Release(after)
-	vg.DeleteEdges([]WeightedEdge{{Src: 1, Dst: 2}})
+	vg.Update(func(g WeightedGraph) WeightedGraph { return g.DeleteEdges([]WeightedEdge{{Src: 1, Dst: 2}}) })
 	final := vg.Acquire()
 	defer vg.Release(final)
 	if final.Graph.NumEdges() != 0 {
@@ -223,8 +223,10 @@ func TestVersionedWeightedGraph(t *testing.T) {
 }
 
 func TestConcurrentFlatSnapshotDuringUpdates(t *testing.T) {
-	vg := NewVersionedGraph(NewGraph(params()))
-	vg.InsertEdges(MakeUndirected([]Edge{{0, 1}, {1, 2}, {2, 3}}))
+	vg := NewVersioned(NewGraph(params()))
+	vg.Update(func(g Graph) Graph {
+		return g.InsertEdges(MakeUndirected([]Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 3}}))
+	})
 	var wg sync.WaitGroup
 	wg.Add(2)
 	var bad atomic.Bool
@@ -242,7 +244,7 @@ func TestConcurrentFlatSnapshotDuringUpdates(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := uint32(0); i < 50; i++ {
-			vg.InsertEdges(MakeUndirected([]Edge{{i, i + 100}}))
+			vg.Update(func(g Graph) Graph { return g.InsertEdges(MakeUndirected([]Edge{{Src: i, Dst: i + 100}})) })
 		}
 	}()
 	wg.Wait()

@@ -42,9 +42,9 @@ func randomWeightedBatch(r *xhash.RNG, n, idSpace int) []WeightedEdge {
 	batch := make([]WeightedEdge, n)
 	for i := range batch {
 		batch[i] = WeightedEdge{
-			Src:    uint32(r.Intn(idSpace)),
-			Dst:    uint32(r.Intn(idSpace)),
-			Weight: float32(r.Intn(10_000)) / 16,
+			Src: uint32(r.Intn(idSpace)),
+			Dst: uint32(r.Intn(idSpace)),
+			Val: float32(r.Intn(10_000)) / 16,
 		}
 	}
 	return batch
@@ -62,13 +62,13 @@ func TestWeightedCompressedDifferential(t *testing.T) {
 		ctree.PlainParams(),
 	} {
 		r := xhash.NewRNG(42)
-		g := NewWeightedGraphWith(p)
+		g := NewGraphOf[float32](p)
 		ref := map[uint64]float32{}
 		for round := 0; round < 8; round++ {
 			ins := randomWeightedBatch(r, 400, 150)
 			g = g.InsertEdges(ins)
 			for _, e := range ins {
-				ref[uint64(e.Src)<<32|uint64(e.Dst)] = e.Weight
+				ref[uint64(e.Src)<<32|uint64(e.Dst)] = e.Val
 			}
 			del := randomWeightedBatch(r, 120, 150)
 			g = g.DeleteEdges(del)
@@ -81,14 +81,14 @@ func TestWeightedCompressedDifferential(t *testing.T) {
 		}
 		for k, w := range ref {
 			u, v := uint32(k>>32), uint32(k)
-			if got, ok := g.Weight(u, v); !ok || got != w {
+			if got, ok := g.Value(u, v); !ok || got != w {
 				t.Fatalf("params %+v: Weight(%d,%d) = %v,%v want %v", p, u, v, got, ok, w)
 			}
 		}
 		// Neighbor enumeration must be sorted and carry the right weights.
 		for u := uint32(0); u < 150; u++ {
 			var prev int64 = -1
-			g.ForEachNeighborW(u, func(v uint32, w float32) bool {
+			g.ForEachNeighborKV(u, func(v uint32, w float32) bool {
 				if int64(v) <= prev {
 					t.Fatalf("params %+v: neighbors of %d out of order", p, u)
 				}
@@ -103,45 +103,45 @@ func TestWeightedCompressedDifferential(t *testing.T) {
 }
 
 func TestWeightedInsertEdgesWithMerge(t *testing.T) {
-	g := NewWeightedGraph().InsertEdges([]WeightedEdge{{Src: 1, Dst: 2, Weight: 10}})
-	g = g.InsertEdgesWith([]WeightedEdge{{Src: 1, Dst: 2, Weight: 5}},
+	g := NewGraphOf[float32](ctree.DefaultParams()).InsertEdges([]WeightedEdge{{Src: 1, Dst: 2, Val: 10}})
+	g = g.InsertEdgesWith([]WeightedEdge{{Src: 1, Dst: 2, Val: 5}},
 		func(old, new float32) float32 { return old + new })
-	if w, _ := g.Weight(1, 2); w != 15 {
+	if w, _ := g.Value(1, 2); w != 15 {
 		t.Fatalf("additive merge: weight = %v, want 15", w)
 	}
 }
 
 func TestWeightedPersistenceAcrossBatches(t *testing.T) {
-	g0 := NewWeightedGraph().InsertEdges([]WeightedEdge{{Src: 0, Dst: 1, Weight: 1}})
-	g1 := g0.InsertEdges([]WeightedEdge{{Src: 0, Dst: 1, Weight: 2}, {Src: 0, Dst: 9, Weight: 9}})
+	g0 := NewGraphOf[float32](ctree.DefaultParams()).InsertEdges([]WeightedEdge{{Src: 0, Dst: 1, Val: 1}})
+	g1 := g0.InsertEdges([]WeightedEdge{{Src: 0, Dst: 1, Val: 2}, {Src: 0, Dst: 9, Val: 9}})
 	g2 := g1.DeleteEdges([]WeightedEdge{{Src: 0, Dst: 1}})
-	if w, _ := g0.Weight(0, 1); w != 1 {
+	if w, _ := g0.Value(0, 1); w != 1 {
 		t.Fatal("version 0 mutated")
 	}
-	if w, _ := g1.Weight(0, 1); w != 2 {
+	if w, _ := g1.Value(0, 1); w != 2 {
 		t.Fatal("version 1 wrong")
 	}
-	if _, ok := g2.Weight(0, 1); ok {
+	if _, ok := g2.Value(0, 1); ok {
 		t.Fatal("version 2 kept deleted edge")
 	}
-	if w, _ := g2.Weight(0, 9); w != 9 {
+	if w, _ := g2.Value(0, 9); w != 9 {
 		t.Fatal("version 2 lost unrelated edge")
 	}
 }
 
 func TestDeleteEdgesGC(t *testing.T) {
-	und := MakeUndirected([]Edge{{1, 2}, {3, 4}, {3, 5}})
+	und := MakeUndirected([]Edge{{Src: 1, Dst: 2}, {Src: 3, Dst: 4}, {Src: 3, Dst: 5}})
 	g := NewGraph(ctree.DefaultParams()).InsertEdges(und)
 	if g.NumVertices() != 5 {
 		t.Fatalf("n = %d", g.NumVertices())
 	}
 	// Default DeleteEdges keeps emptied vertices.
-	kept := g.DeleteEdges(MakeUndirected([]Edge{{1, 2}}))
+	kept := g.DeleteEdges(MakeUndirected([]Edge{{Src: 1, Dst: 2}}))
 	if !kept.HasVertex(1) || !kept.HasVertex(2) {
 		t.Fatal("DeleteEdges must keep degree-zero vertices")
 	}
 	// Opt-in GC drops exactly the emptied endpoints.
-	gc := g.DeleteEdgesGC(MakeUndirected([]Edge{{1, 2}}))
+	gc := g.DeleteEdgesGC(MakeUndirected([]Edge{{Src: 1, Dst: 2}}))
 	if gc.HasVertex(1) || gc.HasVertex(2) {
 		t.Fatal("DeleteEdgesGC kept emptied vertices")
 	}
@@ -151,7 +151,7 @@ func TestDeleteEdgesGC(t *testing.T) {
 		}
 	}
 	// Deleting one of vertex 3's two edges must not drop 3.
-	gc2 := g.DeleteEdgesGC(MakeUndirected([]Edge{{3, 4}}))
+	gc2 := g.DeleteEdgesGC(MakeUndirected([]Edge{{Src: 3, Dst: 4}}))
 	if !gc2.HasVertex(3) || gc2.HasVertex(4) {
 		t.Fatal("DeleteEdgesGC dropped a vertex that still has edges (or kept an empty one)")
 	}
@@ -160,7 +160,7 @@ func TestDeleteEdgesGC(t *testing.T) {
 func TestCollectIsolated(t *testing.T) {
 	g := NewGraph(ctree.DefaultParams()).
 		InsertVertices([]uint32{10, 20, 30}).
-		InsertEdges(MakeUndirected([]Edge{{1, 2}}))
+		InsertEdges(MakeUndirected([]Edge{{Src: 1, Dst: 2}}))
 	cg := g.CollectIsolated()
 	if cg.NumVertices() != 2 || !cg.HasVertex(1) || !cg.HasVertex(2) {
 		t.Fatalf("CollectIsolated: n = %d", cg.NumVertices())
@@ -173,7 +173,7 @@ func TestCollectIsolated(t *testing.T) {
 		t.Fatal("idempotence violated")
 	}
 	// Weighted variant.
-	wg := NewWeightedGraph().InsertEdges([]WeightedEdge{{Src: 1, Dst: 2, Weight: 3}})
+	wg := NewGraphOf[float32](ctree.DefaultParams()).InsertEdges([]WeightedEdge{{Src: 1, Dst: 2, Val: 3}})
 	wg = wg.DeleteEdges([]WeightedEdge{{Src: 1, Dst: 2}})
 	if wg.CollectIsolated().NumVertices() != 0 {
 		t.Fatal("weighted CollectIsolated kept isolated vertices")
@@ -200,11 +200,11 @@ func TestWeightedBytesPerEdgeRatio(t *testing.T) {
 	for _, e := range edges {
 		w := float32(xhash.Mix32(e[0]^e[1])%1000) / 8
 		batch = append(batch,
-			WeightedEdge{Src: e[0], Dst: e[1], Weight: w},
-			WeightedEdge{Src: e[1], Dst: e[0], Weight: w})
+			WeightedEdge{Src: e[0], Dst: e[1], Val: w},
+			WeightedEdge{Src: e[1], Dst: e[0], Val: w})
 	}
-	comp := NewWeightedGraphWith(ctree.DefaultParams()).InsertEdges(batch)
-	plain := NewWeightedGraphWith(ctree.PlainParams()).InsertEdges(batch)
+	comp := NewGraphOf[float32](ctree.DefaultParams()).InsertEdges(batch)
+	plain := NewGraphOf[float32](ctree.PlainParams()).InsertEdges(batch)
 	if comp.NumEdges() != plain.NumEdges() || comp.NumEdges() == 0 {
 		t.Fatalf("edge counts differ: %d vs %d", comp.NumEdges(), plain.NumEdges())
 	}

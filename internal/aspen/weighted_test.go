@@ -4,25 +4,26 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/ctree"
 	"repro/internal/xhash"
 )
 
 func TestWeightedInsertFind(t *testing.T) {
-	g := NewWeightedGraph()
+	g := NewGraphOf[float32](ctree.DefaultParams())
 	g = g.InsertEdges([]WeightedEdge{
-		{Src: 0, Dst: 1, Weight: 1.5},
-		{Src: 0, Dst: 2, Weight: 2.5},
-		{Src: 1, Dst: 0, Weight: 1.5},
+		{Src: 0, Dst: 1, Val: 1.5},
+		{Src: 0, Dst: 2, Val: 2.5},
+		{Src: 1, Dst: 0, Val: 1.5},
 	})
 	// Like the unweighted graph, the shared batch path creates
 	// destination-only endpoints (vertex 2) so traversals can land on them.
 	if g.NumEdges() != 3 || g.NumVertices() != 3 {
 		t.Fatalf("m=%d n=%d", g.NumEdges(), g.NumVertices())
 	}
-	if w, ok := g.Weight(0, 2); !ok || w != 2.5 {
+	if w, ok := g.Value(0, 2); !ok || w != 2.5 {
 		t.Fatalf("Weight(0,2) = %f,%v", w, ok)
 	}
-	if _, ok := g.Weight(0, 9); ok {
+	if _, ok := g.Value(0, 9); ok {
 		t.Fatal("phantom edge")
 	}
 	if g.Degree(0) != 2 {
@@ -31,13 +32,13 @@ func TestWeightedInsertFind(t *testing.T) {
 }
 
 func TestWeightedUpdateOverwrites(t *testing.T) {
-	g := NewWeightedGraph().InsertEdges([]WeightedEdge{{Src: 1, Dst: 2, Weight: 1}})
-	g2 := g.InsertEdges([]WeightedEdge{{Src: 1, Dst: 2, Weight: 9}})
-	if w, _ := g2.Weight(1, 2); w != 9 {
+	g := NewGraphOf[float32](ctree.DefaultParams()).InsertEdges([]WeightedEdge{{Src: 1, Dst: 2, Val: 1}})
+	g2 := g.InsertEdges([]WeightedEdge{{Src: 1, Dst: 2, Val: 9}})
+	if w, _ := g2.Value(1, 2); w != 9 {
 		t.Fatalf("weight not updated: %f", w)
 	}
 	// Persistence: the old version keeps the old weight.
-	if w, _ := g.Weight(1, 2); w != 1 {
+	if w, _ := g.Value(1, 2); w != 1 {
 		t.Fatalf("old version mutated: %f", w)
 	}
 	if g2.NumEdges() != 1 {
@@ -46,36 +47,36 @@ func TestWeightedUpdateOverwrites(t *testing.T) {
 }
 
 func TestWeightedDelete(t *testing.T) {
-	g := NewWeightedGraph().InsertEdges([]WeightedEdge{
-		{Src: 0, Dst: 1, Weight: 1},
-		{Src: 0, Dst: 2, Weight: 2},
+	g := NewGraphOf[float32](ctree.DefaultParams()).InsertEdges([]WeightedEdge{
+		{Src: 0, Dst: 1, Val: 1},
+		{Src: 0, Dst: 2, Val: 2},
 	})
 	g2 := g.DeleteEdges([]WeightedEdge{{Src: 0, Dst: 1}, {Src: 5, Dst: 6}})
 	if g2.NumEdges() != 1 {
 		t.Fatalf("m = %d", g2.NumEdges())
 	}
-	if _, ok := g2.Weight(0, 1); ok {
+	if _, ok := g2.Value(0, 1); ok {
 		t.Fatal("edge survived delete")
 	}
-	if w, ok := g2.Weight(0, 2); !ok || w != 2 {
+	if w, ok := g2.Value(0, 2); !ok || w != 2 {
 		t.Fatal("unrelated edge damaged")
 	}
 }
 
 func TestWeightedModel(t *testing.T) {
 	r := xhash.NewRNG(8)
-	g := NewWeightedGraph()
+	g := NewGraphOf[float32](ctree.DefaultParams())
 	ref := map[uint64]float32{}
 	for round := 0; round < 10; round++ {
 		var batch []WeightedEdge
 		for i := 0; i < 50; i++ {
 			e := WeightedEdge{
-				Src:    uint32(r.Intn(20)),
-				Dst:    uint32(r.Intn(20)),
-				Weight: float32(r.Intn(100)),
+				Src: uint32(r.Intn(20)),
+				Dst: uint32(r.Intn(20)),
+				Val: float32(r.Intn(100)),
 			}
 			batch = append(batch, e)
-			ref[uint64(e.Src)<<32|uint64(e.Dst)] = e.Weight
+			ref[uint64(e.Src)<<32|uint64(e.Dst)] = e.Val
 		}
 		g = g.InsertEdges(batch)
 	}
@@ -85,25 +86,25 @@ func TestWeightedModel(t *testing.T) {
 	var wantTotal float64
 	for k, w := range ref {
 		u, v := uint32(k>>32), uint32(k)
-		got, ok := g.Weight(u, v)
+		got, ok := g.Value(u, v)
 		if !ok || got != w {
 			t.Fatalf("Weight(%d,%d) = %f,%v want %f", u, v, got, ok, w)
 		}
 		wantTotal += float64(w)
 	}
-	if math.Abs(g.TotalWeight()-wantTotal) > 1e-3 {
-		t.Fatalf("TotalWeight = %f, want %f", g.TotalWeight(), wantTotal)
+	if math.Abs(TotalWeight(g)-wantTotal) > 1e-3 {
+		t.Fatalf("TotalWeight = %f, want %f", TotalWeight(g), wantTotal)
 	}
 }
 
 func TestWeightedNeighborOrder(t *testing.T) {
-	g := NewWeightedGraph().InsertEdges([]WeightedEdge{
-		{Src: 0, Dst: 5, Weight: 5},
-		{Src: 0, Dst: 1, Weight: 1},
-		{Src: 0, Dst: 3, Weight: 3},
+	g := NewGraphOf[float32](ctree.DefaultParams()).InsertEdges([]WeightedEdge{
+		{Src: 0, Dst: 5, Val: 5},
+		{Src: 0, Dst: 1, Val: 1},
+		{Src: 0, Dst: 3, Val: 3},
 	})
 	var order []uint32
-	g.ForEachNeighborWeight(0, func(v uint32, w float32) bool {
+	g.ForEachNeighborKV(0, func(v uint32, w float32) bool {
 		order = append(order, v)
 		if float32(v) != w {
 			t.Fatalf("weight of %d is %f", v, w)

@@ -35,7 +35,7 @@ func Flat(w io.Writer, cfg Config) {
 		ccF := medianOf3(func() { algos.ConnectedComponents(fs) })
 
 		wg := weightedDataset(d)
-		fw := aspen.BuildFlatWeightedSnapshot(wg)
+		fw := aspen.BuildFlatSnapshot(wg)
 		ssspT := medianOf3(func() { algos.SSSP(wg, src) })
 		ssspF := medianOf3(func() { algos.SSSP(fw, src) })
 
@@ -70,11 +70,11 @@ func weightedDataset(d Dataset) aspen.WeightedGraph {
 			}
 			batch = append(batch, aspen.WeightedEdge{
 				Src: uint32(u), Dst: v,
-				Weight: 0.5 + float32(xhash.Mix32(lo^hi*0x9e3779b9)%1000)/100,
+				Val: 0.5 + float32(xhash.Mix32(lo^hi*0x9e3779b9)%1000)/100,
 			})
 		}
 	}
-	return aspen.NewWeightedGraph().InsertEdges(batch)
+	return aspen.NewGraphOf[float32](ctree.DefaultParams()).InsertEdges(batch)
 }
 
 // flatCapabilityCheck is a compile-time assertion that the aspen views
@@ -82,4 +82,5 @@ func weightedDataset(d Dataset) aspen.WeightedGraph {
 var (
 	_ ligra.FlatGraph         = (*aspen.FlatSnapshot)(nil)
 	_ ligra.FlatWeightedGraph = (*aspen.FlatWeightedSnapshot)(nil)
+	_ ligra.WeightedGraph     = aspen.WeightedGraph{}
 )

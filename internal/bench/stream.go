@@ -31,7 +31,7 @@ func Table7(w io.Writer, cfg Config) {
 			sampleK, queries = 500, 2
 		}
 		start, stream := rmat.SampleUpdateStream(g, sampleK, 11)
-		vg := aspen.NewVersionedGraph(start)
+		vg := aspen.NewVersioned(start)
 
 		// Isolated query latency on the final state of the stream. The
 		// queries repeat over one static snapshot, so the §5.1 flat view
@@ -69,9 +69,9 @@ func Table7(w io.Writer, cfg Config) {
 				ue := aspen.MakeUndirected([]aspen.Edge{op.Edge})
 				t0 := time.Now()
 				if op.Delete {
-					vg.DeleteEdges(ue)
+					vg.Update(func(g aspen.Graph) aspen.Graph { return g.DeleteEdges(ue) })
 				} else {
-					vg.InsertEdges(ue)
+					vg.Update(func(g aspen.Graph) aspen.Graph { return g.InsertEdges(ue) })
 				}
 				updDur.Add(int64(time.Since(t0)))
 				updates.Add(2)

@@ -9,14 +9,14 @@ import (
 // WeightedGraph is the optional weighted-traversal capability: engines
 // whose adjacency carries per-edge weights (aspen.WeightedGraph's
 // compressed float32 payload) expose them to the algorithm layer through
-// ForEachNeighborW, and weighted algorithms (SSSP and friends) run over
+// ForEachNeighborKV, and weighted algorithms (SSSP and friends) run over
 // WeightedEdgeMap exactly as their unweighted counterparts run over
 // EdgeMap.
 type WeightedGraph interface {
 	Graph
-	// ForEachNeighborW applies f to u's (neighbor, weight) pairs in
+	// ForEachNeighborKV applies f to u's (neighbor, weight) pairs in
 	// increasing neighbor order until f returns false.
-	ForEachNeighborW(u uint32, f func(v uint32, w float32) bool)
+	ForEachNeighborKV(u uint32, f func(v uint32, w float32) bool)
 }
 
 // FlatWeightedGraph is the weighted flat-snapshot capability
@@ -79,7 +79,7 @@ func weightedEdgeMapSparse(g WeightedGraph, u VertexSubset, f func(src, dst uint
 		}
 		var buf []uint32
 		for _, s := range src[lo:hi] {
-			g.ForEachNeighborW(s, func(v uint32, w float32) bool {
+			g.ForEachNeighborKV(s, func(v uint32, w float32) bool {
 				if c(v) && f(s, v, w) {
 					buf = append(buf, v)
 				}
@@ -118,7 +118,7 @@ func weightedEdgeMapDense(g WeightedGraph, u VertexSubset, f func(src, dst uint3
 		if !c(v) {
 			return
 		}
-		g.ForEachNeighborW(v, func(s uint32, w float32) bool {
+		g.ForEachNeighborKV(v, func(s uint32, w float32) bool {
 			if ud.dense[s] && f(s, v, w) {
 				if !out[v] {
 					out[v] = true

@@ -96,11 +96,11 @@ func TestClusterErrClosedAfterClose(t *testing.T) {
 }
 
 func TestWeightedClusterViews(t *testing.T) {
-	c := NewWeightedCluster(NewRangePartitioner(2, 1<<8), testParams(), stream.Options{})
+	c := NewGraphClusterOf[float32](NewRangePartitioner(2, 1<<8), testParams(), stream.Options{})
 	defer c.Close()
-	batch := aspen.MakeUndirectedWeighted([]aspen.WeightedEdge{
-		{Src: 3, Dst: 200, Weight: 2.5},
-		{Src: 7, Dst: 9, Weight: 1.25},
+	batch := aspen.MakeUndirected([]aspen.WeightedEdge{
+		{Src: 3, Dst: 200, Val: 2.5},
+		{Src: 7, Dst: 9, Val: 1.25},
 	})
 	if _, err := c.Insert(batch); err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestWeightedClusterViews(t *testing.T) {
 		t.Fatal("weighted tree view lacks ligra.WeightedGraph")
 	}
 	sum := float32(0)
-	wv.ForEachNeighborW(3, func(_ uint32, w float32) bool { sum += w; return true })
+	wv.ForEachNeighborKV(3, func(_ uint32, w float32) bool { sum += w; return true })
 	if sum != 2.5 {
 		t.Fatalf("tree view weight sum = %g, want 2.5", sum)
 	}
@@ -125,7 +125,7 @@ func TestWeightedClusterViews(t *testing.T) {
 		t.Fatal("weighted flat view lacks ligra.FlatWeightedGraph")
 	}
 	got := float32(0)
-	fw.ForEachNeighborW(200, func(v uint32, w float32) bool {
+	fw.ForEachNeighborKV(200, func(v uint32, w float32) bool {
 		if v == 3 {
 			got = w
 		}

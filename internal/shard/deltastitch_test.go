@@ -166,14 +166,14 @@ func TestDeltaStitchDifferential(t *testing.T) {
 // reuse unmoved shards' views.
 func TestDeltaStitchWeighted(t *testing.T) {
 	part := NewRangePartitioner(2, 1<<8)
-	c := NewWeightedCluster(part, testParams(), stream.Options{})
+	c := NewGraphClusterOf[float32](part, testParams(), stream.Options{})
 	defer c.Close()
 	mkw := func(es []aspen.Edge, w float32) []aspen.WeightedEdge {
 		out := make([]aspen.WeightedEdge, 0, 2*len(es))
 		for _, e := range es {
 			out = append(out,
-				aspen.WeightedEdge{Src: e.Src, Dst: e.Dst, Weight: w},
-				aspen.WeightedEdge{Src: e.Dst, Dst: e.Src, Weight: w})
+				aspen.WeightedEdge{Src: e.Src, Dst: e.Dst, Val: w},
+				aspen.WeightedEdge{Src: e.Dst, Dst: e.Src, Val: w})
 		}
 		return out
 	}

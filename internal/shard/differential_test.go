@@ -206,8 +206,8 @@ func TestShardedWeightedMatchesSingleEngine(t *testing.T) {
 			}
 			w := weightOf(lo + uint64(j))
 			out = append(out,
-				aspen.WeightedEdge{Src: e.Src, Dst: e.Dst, Weight: w},
-				aspen.WeightedEdge{Src: e.Dst, Dst: e.Src, Weight: w})
+				aspen.WeightedEdge{Src: e.Src, Dst: e.Dst, Val: w},
+				aspen.WeightedEdge{Src: e.Dst, Dst: e.Src, Val: w})
 		}
 		return out
 	}
@@ -216,8 +216,8 @@ func TestShardedWeightedMatchesSingleEngine(t *testing.T) {
 		NewHashPartitioner(2),
 	} {
 		t.Run(fmt.Sprintf("%T-%d", part, part.Shards()), func(t *testing.T) {
-			single := aspen.NewWeightedGraphWith(testParams())
-			c := NewWeightedCluster(part, testParams(), stream.Options{})
+			single := aspen.NewGraphOf[float32](testParams())
+			c := NewGraphClusterOf[float32](part, testParams(), stream.Options{})
 			defer c.Close()
 			var pos uint64
 			for i := 0; i < 6; i++ {

@@ -43,21 +43,21 @@ func openDirs(part Partitioner, d stream.Durability) ([]stream.Durability, error
 	return durs, nil
 }
 
-// OpenGraphCluster opens (or creates) a durable unweighted cluster rooted
-// at d.Dir: shard s recovers from d.Dir/shard-%04d — latest valid
-// checkpoint plus WAL tail — and logs its commits there from then on. The
-// partitioner must match the one the directory was written with (routing is
-// deterministic, so a mismatch would replay batches onto the wrong shards;
-// callers persist/derive the shard count from the directory layout, see
-// CountShardDirs).
-func OpenGraphCluster(part Partitioner, p ctree.Params, opts stream.Options, d stream.Durability) (*Cluster[aspen.Graph, aspen.Edge], error) {
+// OpenGraphClusterOf opens (or creates) a durable cluster of aspen graphs
+// with payload type V rooted at d.Dir: shard s recovers from
+// d.Dir/shard-%04d — latest valid checkpoint plus WAL tail — and logs its
+// commits there from then on. The partitioner must match the one the
+// directory was written with (routing is deterministic, so a mismatch would
+// replay batches onto the wrong shards; callers persist/derive the shard
+// count from the directory layout, see CountShardDirs).
+func OpenGraphClusterOf[V ctree.Value](part Partitioner, p ctree.Params, opts stream.Options, d stream.Durability) (*Cluster[aspen.GraphOf[V], aspen.EdgeOf[V]], error) {
 	durs, err := openDirs(part, d)
 	if err != nil {
 		return nil, err
 	}
-	engines := make([]*stream.Engine[aspen.Graph, aspen.Edge], part.Shards())
+	engines := make([]*stream.Engine[aspen.GraphOf[V], aspen.EdgeOf[V]], part.Shards())
 	for s := range engines {
-		e, err := stream.RecoverGraphEngine(p, opts, durs[s])
+		e, err := stream.RecoverGraphEngineOf[V](p, opts, durs[s])
 		if err != nil {
 			for _, prev := range engines[:s] {
 				prev.Close()
@@ -69,24 +69,9 @@ func OpenGraphCluster(part Partitioner, p ctree.Params, opts stream.Options, d s
 	return New(part, engines, EdgeSource), nil
 }
 
-// OpenWeightedCluster is OpenGraphCluster for weighted graphs.
-func OpenWeightedCluster(part Partitioner, p ctree.Params, opts stream.Options, d stream.Durability) (*Cluster[aspen.WeightedGraph, aspen.WeightedEdge], error) {
-	durs, err := openDirs(part, d)
-	if err != nil {
-		return nil, err
-	}
-	engines := make([]*stream.Engine[aspen.WeightedGraph, aspen.WeightedEdge], part.Shards())
-	for s := range engines {
-		e, err := stream.RecoverWeightedEngine(p, opts, durs[s])
-		if err != nil {
-			for _, prev := range engines[:s] {
-				prev.Close()
-			}
-			return nil, fmt.Errorf("shard %d: %w", s, err)
-		}
-		engines[s] = e
-	}
-	return New(part, engines, WeightedEdgeSource), nil
+// OpenGraphCluster opens (or creates) a durable id-only cluster.
+func OpenGraphCluster(part Partitioner, p ctree.Params, opts stream.Options, d stream.Durability) (*Cluster[aspen.Graph, aspen.Edge], error) {
+	return OpenGraphClusterOf[struct{}](part, p, opts, d)
 }
 
 // CountShardDirs reports how many consecutive shard-%04d directories exist

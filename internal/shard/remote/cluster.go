@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/aspen"
+	"repro/internal/ctree"
 	"repro/internal/ligra"
 	"repro/internal/rpc"
 	"repro/internal/shard"
@@ -66,11 +67,13 @@ type stitchSlot struct {
 	flat   ligra.Graph
 }
 
-// Dial connects a generic cluster client: one primary address per
-// shard (len must equal part.Shards()) and optional replica addresses
-// (nil, or same length with "" meaning no replica). Connections are
-// lazy: a down shard fails the first operation that needs it.
-func Dial[E any](part shard.Partitioner, primaries, replicas []string, codec stream.Codec[E], srcOf func(E) uint32, weighted bool, o Options) (*Cluster[E], error) {
+// Dial connects a generic cluster client to shards serving graphs of
+// type G: one primary address per shard (len must equal part.Shards())
+// and optional replica addresses (nil, or same length with "" meaning no
+// replica). Connections are lazy: a down shard fails the first operation
+// that needs it.
+func Dial[G ligra.Graph, E any](part shard.Partitioner, primaries, replicas []string, codec stream.Codec[E], srcOf func(E) uint32, o Options) (*Cluster[E], error) {
+	weighted := weightedOf[G]()
 	o = o.withDefaults()
 	if len(primaries) != part.Shards() {
 		return nil, fmt.Errorf("remote: %d primary addresses for %d shards", len(primaries), part.Shards())
@@ -117,14 +120,15 @@ func Dial[E any](part shard.Partitioner, primaries, replicas []string, codec str
 	return c, nil
 }
 
-// DialGraph connects an unweighted cluster client.
-func DialGraph(part shard.Partitioner, primaries, replicas []string, o Options) (*Cluster[aspen.Edge], error) {
-	return Dial(part, primaries, replicas, stream.EdgeCodec, shard.EdgeSource, false, o)
+// DialGraphOf connects a client to shards serving aspen graphs with
+// payload type V.
+func DialGraphOf[V ctree.Value](part shard.Partitioner, primaries, replicas []string, o Options) (*Cluster[aspen.EdgeOf[V]], error) {
+	return Dial[aspen.GraphOf[V]](part, primaries, replicas, stream.EdgeCodecOf[V](), shard.EdgeSource[V], o)
 }
 
-// DialWeighted connects a weighted cluster client.
-func DialWeighted(part shard.Partitioner, primaries, replicas []string, o Options) (*Cluster[aspen.WeightedEdge], error) {
-	return Dial(part, primaries, replicas, stream.WeightedEdgeCodec, shard.WeightedEdgeSource, true, o)
+// DialGraph connects an id-only cluster client.
+func DialGraph(part shard.Partitioner, primaries, replicas []string, o Options) (*Cluster[aspen.Edge], error) {
+	return DialGraphOf[struct{}](part, primaries, replicas, o)
 }
 
 // Shards returns the shard count.

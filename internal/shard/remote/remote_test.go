@@ -219,8 +219,8 @@ func TestRemoteWeightedSSSP(t *testing.T) {
 	n := part.Shards()
 	addrs := make([]string, n)
 	for s := 0; s < n; s++ {
-		eng := stream.NewWeightedEngine(aspen.NewWeightedGraphWith(testParams()), stream.Options{})
-		srv := NewWeightedServer(eng, testParams(), "", s, n)
+		eng := stream.NewGraphEngine(aspen.NewGraphOf[float32](testParams()), stream.Options{})
+		srv := NewGraphServer(eng, testParams(), "", s, n)
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -232,7 +232,7 @@ func TestRemoteWeightedSSSP(t *testing.T) {
 			eng.Close()
 		})
 	}
-	c, err := DialWeighted(part, addrs, nil, Options{})
+	c, err := DialGraphOf[float32](part, addrs, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,12 +249,12 @@ func TestRemoteWeightedSSSP(t *testing.T) {
 			}
 			w := weightOf(lo + uint64(j))
 			out = append(out,
-				aspen.WeightedEdge{Src: e.Src, Dst: e.Dst, Weight: w},
-				aspen.WeightedEdge{Src: e.Dst, Dst: e.Src, Weight: w})
+				aspen.WeightedEdge{Src: e.Src, Dst: e.Dst, Val: w},
+				aspen.WeightedEdge{Src: e.Dst, Dst: e.Src, Val: w})
 		}
 		return out
 	}
-	single := aspen.NewWeightedGraphWith(testParams())
+	single := aspen.NewGraphOf[float32](testParams())
 	var pos uint64
 	for i := 0; i < 5; i++ {
 		batch := mkBatch(pos, pos+1_000)

@@ -79,7 +79,7 @@ type Replica[G ligra.Graph, E any] struct {
 
 // NewReplica builds a replica of the shard primary at addr. ringCap
 // bounds retained states (<=0: default 512).
-func NewReplica[G ligra.Graph, E any](addr string, empty G, apply func(g G, del bool, edges []E) G, codec stream.Codec[E], snap stream.SnapshotCodec[G], weighted bool, shardID, shards, ringCap int, o Options) *Replica[G, E] {
+func NewReplica[G ligra.Graph, E any](addr string, empty G, apply func(g G, del bool, edges []E) G, codec stream.Codec[E], snap stream.SnapshotCodec[G], shardID, shards, ringCap int, o Options) *Replica[G, E] {
 	if ringCap <= 0 {
 		ringCap = defaultReplicaRing
 	}
@@ -89,7 +89,7 @@ func NewReplica[G ligra.Graph, E any](addr string, empty G, apply func(g G, del 
 		codec:    codec,
 		snap:     snap,
 		apply:    apply,
-		weighted: weighted,
+		weighted: weightedOf[G](),
 		shardID:  shardID,
 		shards:   shards,
 		ringCap:  ringCap,
@@ -101,26 +101,21 @@ func NewReplica[G ligra.Graph, E any](addr string, empty G, apply func(g G, del 
 	}
 }
 
-// NewGraphReplica builds an unweighted replica.
-func NewGraphReplica(addr string, p ctree.Params, shardID, shards, ringCap int, o Options) *Replica[aspen.Graph, aspen.Edge] {
-	apply := func(g aspen.Graph, del bool, edges []aspen.Edge) aspen.Graph {
+// NewGraphReplicaOf builds a replica of an aspen graph shard with payload
+// type V.
+func NewGraphReplicaOf[V ctree.Value](addr string, p ctree.Params, shardID, shards, ringCap int, o Options) *Replica[aspen.GraphOf[V], aspen.EdgeOf[V]] {
+	apply := func(g aspen.GraphOf[V], del bool, edges []aspen.EdgeOf[V]) aspen.GraphOf[V] {
 		if del {
 			return g.DeleteEdges(edges)
 		}
 		return g.InsertEdges(edges)
 	}
-	return NewReplica(addr, aspen.NewGraph(p), apply, stream.EdgeCodec, stream.GraphSnapshotCodec(p), false, shardID, shards, ringCap, o)
+	return NewReplica(addr, aspen.NewGraphOf[V](p), apply, stream.EdgeCodecOf[V](), stream.GraphSnapshotCodecOf[V](p), shardID, shards, ringCap, o)
 }
 
-// NewWeightedReplica builds a weighted replica.
-func NewWeightedReplica(addr string, p ctree.Params, shardID, shards, ringCap int, o Options) *Replica[aspen.WeightedGraph, aspen.WeightedEdge] {
-	apply := func(g aspen.WeightedGraph, del bool, edges []aspen.WeightedEdge) aspen.WeightedGraph {
-		if del {
-			return g.DeleteEdges(edges)
-		}
-		return g.InsertEdges(edges)
-	}
-	return NewReplica(addr, aspen.NewWeightedGraphWith(p), apply, stream.WeightedEdgeCodec, stream.WeightedSnapshotCodec(p), true, shardID, shards, ringCap, o)
+// NewGraphReplica builds an id-only replica.
+func NewGraphReplica(addr string, p ctree.Params, shardID, shards, ringCap int, o Options) *Replica[aspen.Graph, aspen.Edge] {
+	return NewGraphReplicaOf[struct{}](addr, p, shardID, shards, ringCap, o)
 }
 
 // Applied returns the highest WAL seq the replica has applied.

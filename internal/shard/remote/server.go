@@ -65,13 +65,14 @@ type Server[G ligra.Graph, E any] struct {
 // NewServer wraps an engine. dir is the engine's durable data
 // directory ("" disables tail subscriptions); the server registers the
 // engine's OnWALAppend observer, so it must be constructed before the
-// engine serves traffic.
-func NewServer[G ligra.Graph, E any](eng *stream.Engine[G, E], codec stream.Codec[E], snap stream.SnapshotCodec[G], weighted bool, dir string, shardID, shards int) *Server[G, E] {
+// engine serves traffic. Range reads ship edge weights when G is a
+// ligra.WeightedGraph.
+func NewServer[G ligra.Graph, E any](eng *stream.Engine[G, E], codec stream.Codec[E], snap stream.SnapshotCodec[G], dir string, shardID, shards int) *Server[G, E] {
 	s := &Server[G, E]{
 		eng:      eng,
 		codec:    codec,
 		snap:     snap,
-		weighted: weighted,
+		weighted: weightedOf[G](),
 		dir:      dir,
 		shardID:  shardID,
 		shards:   shards,
@@ -95,14 +96,19 @@ func (s *Server[G, E]) SetDedup(d *Dedup) {
 	}
 }
 
-// NewGraphServer wraps an unweighted durable engine.
-func NewGraphServer(eng *stream.Engine[aspen.Graph, aspen.Edge], p ctree.Params, dir string, shardID, shards int) *Server[aspen.Graph, aspen.Edge] {
-	return NewServer(eng, stream.EdgeCodec, stream.GraphSnapshotCodec(p), false, dir, shardID, shards)
+// NewGraphServer wraps a durable aspen graph engine.
+func NewGraphServer[V ctree.Value](eng *stream.Engine[aspen.GraphOf[V], aspen.EdgeOf[V]], p ctree.Params, dir string, shardID, shards int) *Server[aspen.GraphOf[V], aspen.EdgeOf[V]] {
+	return NewServer(eng, stream.EdgeCodecOf[V](), stream.GraphSnapshotCodecOf[V](p), dir, shardID, shards)
 }
 
-// NewWeightedServer wraps a weighted durable engine.
-func NewWeightedServer(eng *stream.Engine[aspen.WeightedGraph, aspen.WeightedEdge], p ctree.Params, dir string, shardID, shards int) *Server[aspen.WeightedGraph, aspen.WeightedEdge] {
-	return NewServer(eng, stream.WeightedEdgeCodec, stream.WeightedSnapshotCodec(p), true, dir, shardID, shards)
+// weightedOf reports whether graphs of type G carry float32 edge weights —
+// the ligra.WeightedGraph capability weighted kernels check. It decides
+// whether range reads ship weights, and both ends of a connection must
+// agree on it.
+func weightedOf[G any]() bool {
+	var g G
+	_, ok := any(g).(ligra.WeightedGraph)
+	return ok
 }
 
 // Serve accepts connections on ln until Close. Blocks.
@@ -552,7 +558,7 @@ func encodeRange(e *rpc.Encoder, g ligra.Graph, weighted bool, lo uint32) {
 	if weighted {
 		wg := g.(ligra.WeightedGraph)
 		for u := lo; u < lo+n; u++ {
-			wg.ForEachNeighborW(u, func(w uint32, wt float32) bool {
+			wg.ForEachNeighborKV(u, func(w uint32, wt float32) bool {
 				if i >= lim {
 					return false
 				}

@@ -82,9 +82,9 @@ func (v *remoteView) ForEachNeighbor(u uint32, f func(w uint32) bool) {
 // remoteWeightedView adds the weighted traversal capability.
 type remoteWeightedView struct{ *remoteView }
 
-// ForEachNeighborW applies f to u's (neighbor, weight) pairs in
+// ForEachNeighborKV applies f to u's (neighbor, weight) pairs in
 // increasing neighbor order until f returns false.
-func (v remoteWeightedView) ForEachNeighborW(u uint32, f func(w uint32, wt float32) bool) {
+func (v remoteWeightedView) ForEachNeighborKV(u uint32, f func(w uint32, wt float32) bool) {
 	if int(u) >= v.order {
 		return
 	}

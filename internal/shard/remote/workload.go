@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/shard"
 	"repro/internal/stream"
 )
@@ -44,11 +45,11 @@ type Report struct {
 	UpdatesPerSec float64       `json:"updates_per_sec"`
 	Batches       uint64        `json:"batches"`
 
-	Queries       uint64                `json:"queries"`
-	QueriesPerSec float64               `json:"queries_per_sec"`
-	Query         stream.LatencySummary `json:"query_latency"`
-	PerKernel     []stream.KernelStat   `json:"per_kernel"`
-	QueryErrs     uint64                `json:"query_errs,omitempty"`
+	Queries       uint64              `json:"queries"`
+	QueriesPerSec float64             `json:"queries_per_sec"`
+	Query         obs.LatencySummary  `json:"query_latency"`
+	PerKernel     []stream.KernelStat `json:"per_kernel"`
+	QueryErrs     uint64              `json:"query_errs,omitempty"`
 
 	FinalStamps []uint64       `json:"final_stamps"`
 	Client      Stats          `json:"client"`
@@ -56,7 +57,7 @@ type Report struct {
 
 	// CommitWorst is the commit-latency digest of the shard server with
 	// the highest p99 (engine-lifetime, like the in-process report).
-	CommitWorst stream.LatencySummary `json:"commit_worst"`
+	CommitWorst obs.LatencySummary `json:"commit_worst"`
 }
 
 // Run executes the workload and reports. The cluster is flushed but

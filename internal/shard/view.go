@@ -56,10 +56,10 @@ type WeightedView struct {
 	*View[aspen.WeightedGraph]
 }
 
-// ForEachNeighborW applies f to u's (neighbor, weight) pairs in increasing
+// ForEachNeighborKV applies f to u's (neighbor, weight) pairs in increasing
 // neighbor order until f returns false.
-func (v WeightedView) ForEachNeighborW(u uint32, f func(w uint32, wt float32) bool) {
-	v.gs[v.part.Owner(u)].ForEachNeighborW(u, f)
+func (v WeightedView) ForEachNeighborKV(u uint32, f func(w uint32, wt float32) bool) {
+	v.gs[v.part.Owner(u)].ForEachNeighborKV(u, f)
 }
 
 // FlatView is the stitched §5.1 flat snapshot of a version vector: each
@@ -122,11 +122,11 @@ type FlatWeightedView struct {
 	*FlatView
 }
 
-// ForEachNeighborW applies fn to u's (neighbor, weight) pairs in
+// ForEachNeighborKV applies fn to u's (neighbor, weight) pairs in
 // increasing neighbor order until fn returns false.
-func (f FlatWeightedView) ForEachNeighborW(u uint32, fn func(w uint32, wt float32) bool) {
+func (f FlatWeightedView) ForEachNeighborKV(u uint32, fn func(w uint32, wt float32) bool) {
 	if wg, ok := f.views[f.part.Owner(u)].(ligra.WeightedGraph); ok {
-		wg.ForEachNeighborW(u, fn)
+		wg.ForEachNeighborKV(u, fn)
 	}
 }
 

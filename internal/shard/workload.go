@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/ligra"
+	"repro/internal/obs"
 	"repro/internal/stream"
 )
 
@@ -67,13 +68,13 @@ type Report struct {
 
 	// CommitWorst is the commit-latency digest of the shard with the
 	// highest p99; PerShard carries every shard's full counters.
-	CommitWorst stream.LatencySummary `json:"commit_worst"`
-	PerShard    []stream.Stats        `json:"per_shard"`
+	CommitWorst obs.LatencySummary `json:"commit_worst"`
+	PerShard    []stream.Stats     `json:"per_shard"`
 
-	Queries       uint64                `json:"queries"`
-	QueriesPerSec float64               `json:"queries_per_sec"`
-	Query         stream.LatencySummary `json:"query_latency"`
-	PerKernel     []stream.KernelStat   `json:"per_kernel"`
+	Queries       uint64              `json:"queries"`
+	QueriesPerSec float64             `json:"queries_per_sec"`
+	Query         obs.LatencySummary  `json:"query_latency"`
+	PerKernel     []stream.KernelStat `json:"per_kernel"`
 
 	LiveVersions    int64    `json:"live_versions"`
 	RetiredVersions uint64   `json:"retired_versions"`

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -126,38 +125,29 @@ type Codec[E any] struct {
 	Decode func(src []byte) E
 }
 
-// EdgeCodec encodes aspen.Edge as src u32, dst u32.
-var EdgeCodec = Codec[aspen.Edge]{
-	Width: 8,
-	Encode: func(dst []byte, e aspen.Edge) {
-		binary.LittleEndian.PutUint32(dst, e.Src)
-		binary.LittleEndian.PutUint32(dst[4:], e.Dst)
-	},
-	Decode: func(src []byte) aspen.Edge {
-		return aspen.Edge{
-			Src: binary.LittleEndian.Uint32(src),
-			Dst: binary.LittleEndian.Uint32(src[4:]),
-		}
-	},
+// EdgeCodecOf encodes aspen.EdgeOf[V] as src u32, dst u32, then the
+// payload's external form (aspen.PutValue): 8 bytes per id-only edge, 12
+// per float32-weighted one.
+func EdgeCodecOf[V ctree.Value]() Codec[aspen.EdgeOf[V]] {
+	return Codec[aspen.EdgeOf[V]]{
+		Width: 8 + aspen.ValueWidth[V](),
+		Encode: func(dst []byte, e aspen.EdgeOf[V]) {
+			binary.LittleEndian.PutUint32(dst, e.Src)
+			binary.LittleEndian.PutUint32(dst[4:], e.Dst)
+			aspen.PutValue(dst[8:], e.Val)
+		},
+		Decode: func(src []byte) aspen.EdgeOf[V] {
+			return aspen.EdgeOf[V]{
+				Src: binary.LittleEndian.Uint32(src),
+				Dst: binary.LittleEndian.Uint32(src[4:]),
+				Val: aspen.ReadValue[V](src[8:]),
+			}
+		},
+	}
 }
 
-// WeightedEdgeCodec encodes aspen.WeightedEdge as src u32, dst u32,
-// float32 weight.
-var WeightedEdgeCodec = Codec[aspen.WeightedEdge]{
-	Width: 12,
-	Encode: func(dst []byte, e aspen.WeightedEdge) {
-		binary.LittleEndian.PutUint32(dst, e.Src)
-		binary.LittleEndian.PutUint32(dst[4:], e.Dst)
-		binary.LittleEndian.PutUint32(dst[8:], math.Float32bits(e.Weight))
-	},
-	Decode: func(src []byte) aspen.WeightedEdge {
-		return aspen.WeightedEdge{
-			Src:    binary.LittleEndian.Uint32(src),
-			Dst:    binary.LittleEndian.Uint32(src[4:]),
-			Weight: math.Float32frombits(binary.LittleEndian.Uint32(src[8:])),
-		}
-	},
-}
+// EdgeCodec is the id-only edge codec.
+var EdgeCodec = EdgeCodecOf[struct{}]()
 
 // SnapshotCodec fixes the checkpoint file format of a snapshot type.
 type SnapshotCodec[G any] struct {
@@ -165,37 +155,26 @@ type SnapshotCodec[G any] struct {
 	Read  func(r io.Reader) (G, error)
 }
 
-// GraphSnapshotCodec checkpoints aspen.Graph through graphio.Snapshot;
-// p supplies the C-tree parameters for the rebuild.
-func GraphSnapshotCodec(p ctree.Params) SnapshotCodec[aspen.Graph] {
-	return SnapshotCodec[aspen.Graph]{
-		Write: func(w io.Writer, g aspen.Graph) error {
+// GraphSnapshotCodecOf checkpoints aspen.GraphOf[V] through
+// graphio.Snapshot; p supplies the C-tree parameters for the rebuild.
+func GraphSnapshotCodecOf[V ctree.Value](p ctree.Params) SnapshotCodec[aspen.GraphOf[V]] {
+	return SnapshotCodec[aspen.GraphOf[V]]{
+		Write: func(w io.Writer, g aspen.GraphOf[V]) error {
 			return graphio.WriteSnapshot(w, g.Snapshot())
 		},
-		Read: func(r io.Reader) (aspen.Graph, error) {
+		Read: func(r io.Reader) (aspen.GraphOf[V], error) {
 			s, err := graphio.ReadSnapshot(r)
 			if err != nil {
-				return aspen.Graph{}, err
+				return aspen.GraphOf[V]{}, err
 			}
-			return aspen.GraphFromSnapshot(p, s)
+			return aspen.GraphFromSnapshotOf[V](p, s)
 		},
 	}
 }
 
-// WeightedSnapshotCodec checkpoints aspen.WeightedGraph.
-func WeightedSnapshotCodec(p ctree.Params) SnapshotCodec[aspen.WeightedGraph] {
-	return SnapshotCodec[aspen.WeightedGraph]{
-		Write: func(w io.Writer, g aspen.WeightedGraph) error {
-			return graphio.WriteSnapshot(w, g.Snapshot())
-		},
-		Read: func(r io.Reader) (aspen.WeightedGraph, error) {
-			s, err := graphio.ReadSnapshot(r)
-			if err != nil {
-				return aspen.WeightedGraph{}, err
-			}
-			return aspen.WeightedGraphFromSnapshot(p, s)
-		},
-	}
+// GraphSnapshotCodec checkpoints the id-only aspen.Graph.
+func GraphSnapshotCodec(p ctree.Params) SnapshotCodec[aspen.Graph] {
+	return GraphSnapshotCodecOf[struct{}](p)
 }
 
 // ckptReq hands one pinned snapshot to the checkpointer goroutine. seq is
@@ -690,12 +669,11 @@ func Recover[G ligra.Graph, E any](g0 G, insert, remove func(G, []E) G, opts Opt
 	return e, nil
 }
 
-// RecoverGraphEngine recovers (or creates) a durable unweighted engine.
-func RecoverGraphEngine(p ctree.Params, opts Options, d Durability) (*Engine[aspen.Graph, aspen.Edge], error) {
-	e, err := Recover(aspen.NewGraph(p),
-		func(g aspen.Graph, b []aspen.Edge) aspen.Graph { return g.InsertEdges(b) },
-		func(g aspen.Graph, b []aspen.Edge) aspen.Graph { return g.DeleteEdges(b) },
-		opts, d, EdgeCodec, GraphSnapshotCodec(p))
+// RecoverGraphEngineOf recovers (or creates) a durable aspen graph engine
+// with payload type V.
+func RecoverGraphEngineOf[V ctree.Value](p ctree.Params, opts Options, d Durability) (*Engine[aspen.GraphOf[V], aspen.EdgeOf[V]], error) {
+	e, err := Recover(aspen.NewGraphOf[V](p), aspen.GraphOf[V].InsertEdges, aspen.GraphOf[V].DeleteEdges,
+		opts, d, EdgeCodecOf[V](), GraphSnapshotCodecOf[V](p))
 	if err != nil {
 		return nil, err
 	}
@@ -703,32 +681,19 @@ func RecoverGraphEngine(p ctree.Params, opts Options, d Durability) (*Engine[asp
 	return e, nil
 }
 
-// RecoverWeightedEngine recovers (or creates) a durable weighted engine.
-func RecoverWeightedEngine(p ctree.Params, opts Options, d Durability) (*Engine[aspen.WeightedGraph, aspen.WeightedEdge], error) {
-	e, err := Recover(aspen.NewWeightedGraphWith(p),
-		func(g aspen.WeightedGraph, b []aspen.WeightedEdge) aspen.WeightedGraph { return g.InsertEdges(b) },
-		func(g aspen.WeightedGraph, b []aspen.WeightedEdge) aspen.WeightedGraph { return g.DeleteEdges(b) },
-		opts, d, WeightedEdgeCodec, WeightedSnapshotCodec(p))
-	if err != nil {
-		return nil, err
-	}
-	wireWeightedFlat(e, opts)
-	return e, nil
+// RecoverGraphEngine recovers (or creates) a durable id-only engine.
+func RecoverGraphEngine(p ctree.Params, opts Options, d Durability) (*Engine[aspen.Graph, aspen.Edge], error) {
+	return RecoverGraphEngineOf[struct{}](p, opts, d)
 }
 
-// LoadGraph recovers just the unweighted snapshot from dir (read-only; the
-// -recover-only verification path).
+// LoadGraphOf recovers just the snapshot of a graph with payload type V
+// from dir (read-only; the -recover-only verification path).
+func LoadGraphOf[V ctree.Value](p ctree.Params, dir string) (aspen.GraphOf[V], uint64, error) {
+	return Load(dir, aspen.NewGraphOf[V](p), aspen.GraphOf[V].InsertEdges, aspen.GraphOf[V].DeleteEdges,
+		EdgeCodecOf[V](), GraphSnapshotCodecOf[V](p))
+}
+
+// LoadGraph recovers just the id-only snapshot from dir.
 func LoadGraph(p ctree.Params, dir string) (aspen.Graph, uint64, error) {
-	return Load(dir, aspen.NewGraph(p),
-		func(g aspen.Graph, b []aspen.Edge) aspen.Graph { return g.InsertEdges(b) },
-		func(g aspen.Graph, b []aspen.Edge) aspen.Graph { return g.DeleteEdges(b) },
-		EdgeCodec, GraphSnapshotCodec(p))
-}
-
-// LoadWeightedGraph is LoadGraph for weighted directories.
-func LoadWeightedGraph(p ctree.Params, dir string) (aspen.WeightedGraph, uint64, error) {
-	return Load(dir, aspen.NewWeightedGraphWith(p),
-		func(g aspen.WeightedGraph, b []aspen.WeightedEdge) aspen.WeightedGraph { return g.InsertEdges(b) },
-		func(g aspen.WeightedGraph, b []aspen.WeightedEdge) aspen.WeightedGraph { return g.DeleteEdges(b) },
-		WeightedEdgeCodec, WeightedSnapshotCodec(p))
+	return LoadGraphOf[struct{}](p, dir)
 }

@@ -126,15 +126,15 @@ func TestDurableCleanRestart(t *testing.T) {
 func TestDurableWeightedRestart(t *testing.T) {
 	dir := t.TempDir()
 	d := testDurability(dir)
-	e, err := RecoverWeightedEngine(testParams(), Options{}, d)
+	e, err := RecoverGraphEngineOf[float32](testParams(), Options{}, d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want aspen.WeightedGraph
 	{
-		g := aspen.NewWeightedGraphWith(testParams())
+		g := aspen.NewGraphOf[float32](testParams())
 		for i := 0; i < 6; i++ {
-			batch := []aspen.WeightedEdge{{Src: uint32(i), Dst: uint32(i + 1), Weight: float32(i) + 0.5}}
+			batch := []aspen.WeightedEdge{{Src: uint32(i), Dst: uint32(i + 1), Val: float32(i) + 0.5}}
 			g = g.InsertEdges(batch)
 			p, err := e.Insert(batch)
 			if err != nil || p.Wait() == 0 {
@@ -144,7 +144,7 @@ func TestDurableWeightedRestart(t *testing.T) {
 		want = g
 	}
 	e.Close()
-	e2, err := RecoverWeightedEngine(testParams(), Options{}, d)
+	e2, err := RecoverGraphEngineOf[float32](testParams(), Options{}, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestDurableWeightedRestart(t *testing.T) {
 	if !tx.Graph().Equal(want) {
 		t.Fatal("recovered weighted graph differs")
 	}
-	if w, ok := tx.Graph().Weight(3, 4); !ok || w != 3.5 {
+	if w, ok := tx.Graph().Value(3, 4); !ok || w != 3.5 {
 		t.Fatalf("weight(3,4) = %v %v, want 3.5", w, ok)
 	}
 }

@@ -8,10 +8,10 @@
 // snapshot is released — its C-tree root dropped for the runtime GC —
 // exactly when its last reader finishes.
 //
-// The engine is generic over the snapshot type G (aspen.Graph,
-// aspen.WeightedGraph, or anything else satisfying ligra.Graph) and the
-// update type E (aspen.Edge, aspen.WeightedEdge), so one serving path
-// covers every graph flavor in the repository.
+// The engine is generic over the snapshot type G (aspen.GraphOf[V], or
+// anything else satisfying ligra.Graph) and the update type E
+// (aspen.EdgeOf[V]), so one serving path covers every graph flavor in the
+// repository.
 package stream
 
 import (
@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"repro/internal/aspen"
+	"repro/internal/ctree"
 	"repro/internal/ligra"
 	"repro/internal/obs"
 	"repro/internal/wal"
@@ -110,7 +111,7 @@ type pending[E any] struct {
 
 // Engine is the live-stream engine: one ingest goroutine owns the write
 // path; readers run concurrently via Begin/Close transactions. Create with
-// New (or the NewGraphEngine / NewWeightedEngine conveniences); the ingest
+// New (or the NewGraphEngine convenience); the ingest
 // loop starts immediately.
 type Engine[G ligra.Graph, E any] struct {
 	reg    *aspen.Versioned[G]
@@ -139,7 +140,7 @@ type Engine[G ligra.Graph, E any] struct {
 	prio   chan pending[E] // small-batch priority lane; nil unless enabled
 	wg     sync.WaitGroup
 
-	commitHist Hist
+	commitHist obs.Hist
 	edges      atomic.Uint64 // directed edge updates applied
 	batches    atomic.Uint64 // batches committed
 	commits    atomic.Uint64 // versions published
@@ -203,54 +204,27 @@ func (e *Engine[G, E]) start() {
 	go e.loop()
 }
 
-// NewGraphEngine serves an unweighted aspen.Graph with the §5.1 flat-view
-// cache wired to aspen.BuildFlatSnapshot.
-func NewGraphEngine(g aspen.Graph, opts Options) *Engine[aspen.Graph, aspen.Edge] {
-	e := New(g,
-		func(g aspen.Graph, b []aspen.Edge) aspen.Graph { return g.InsertEdges(b) },
-		func(g aspen.Graph, b []aspen.Edge) aspen.Graph { return g.DeleteEdges(b) },
-		opts)
+// NewGraphEngine serves an aspen graph with the §5.1 flat-view cache wired
+// to aspen.BuildFlatSnapshot. A WeightedGraph's views satisfy
+// ligra.FlatWeightedGraph, so weighted kernels can type-assert for
+// ForEachNeighborKV.
+func NewGraphEngine[V ctree.Value](g aspen.GraphOf[V], opts Options) *Engine[aspen.GraphOf[V], aspen.EdgeOf[V]] {
+	e := New(g, aspen.GraphOf[V].InsertEdges, aspen.GraphOf[V].DeleteEdges, opts)
 	wireGraphFlat(e, opts)
 	return e
 }
 
 // wireGraphFlat registers the aspen flat-view builder (and, under
-// Options.PatchFlat, the incremental patcher) on an unweighted engine —
-// shared by the in-memory and durable constructors.
-func wireGraphFlat(e *Engine[aspen.Graph, aspen.Edge], opts Options) {
-	e.SetFlatten(func(g aspen.Graph) ligra.Graph { return aspen.BuildFlatSnapshot(g) })
+// Options.PatchFlat, the incremental patcher) on a graph engine — shared
+// by the in-memory and durable constructors.
+func wireGraphFlat[V ctree.Value](e *Engine[aspen.GraphOf[V], aspen.EdgeOf[V]], opts Options) {
+	e.SetFlatten(func(g aspen.GraphOf[V]) ligra.Graph { return aspen.BuildFlatSnapshot(g) })
 	if opts.PatchFlat {
-		e.SetFlatPatcher(func(prev ligra.Graph, g aspen.Graph) ligra.Graph {
-			if fs, ok := prev.(*aspen.FlatSnapshot); ok {
+		e.SetFlatPatcher(func(prev ligra.Graph, g aspen.GraphOf[V]) ligra.Graph {
+			if fs, ok := prev.(*aspen.FlatView[V]); ok {
 				return aspen.PatchFlatSnapshot(fs, g)
 			}
 			return aspen.BuildFlatSnapshot(g)
-		})
-	}
-}
-
-// NewWeightedEngine serves an aspen.WeightedGraph with the flat-view cache
-// wired to aspen.BuildFlatWeightedSnapshot (the returned views satisfy
-// ligra.FlatWeightedGraph, so weighted kernels can type-assert for
-// ForEachNeighborW).
-func NewWeightedEngine(g aspen.WeightedGraph, opts Options) *Engine[aspen.WeightedGraph, aspen.WeightedEdge] {
-	e := New(g,
-		func(g aspen.WeightedGraph, b []aspen.WeightedEdge) aspen.WeightedGraph { return g.InsertEdges(b) },
-		func(g aspen.WeightedGraph, b []aspen.WeightedEdge) aspen.WeightedGraph { return g.DeleteEdges(b) },
-		opts)
-	wireWeightedFlat(e, opts)
-	return e
-}
-
-// wireWeightedFlat is wireGraphFlat for weighted engines.
-func wireWeightedFlat(e *Engine[aspen.WeightedGraph, aspen.WeightedEdge], opts Options) {
-	e.SetFlatten(func(g aspen.WeightedGraph) ligra.Graph { return aspen.BuildFlatWeightedSnapshot(g) })
-	if opts.PatchFlat {
-		e.SetFlatPatcher(func(prev ligra.Graph, g aspen.WeightedGraph) ligra.Graph {
-			if fs, ok := prev.(*aspen.FlatWeightedSnapshot); ok {
-				return aspen.PatchFlatWeightedSnapshot(fs, g)
-			}
-			return aspen.BuildFlatWeightedSnapshot(g)
 		})
 	}
 }
@@ -713,7 +687,7 @@ type Stats struct {
 	FlatHits    uint64 `json:"flat_hits"`
 	FlatCached  int    `json:"flat_cached"`
 	// Commit digests the enqueue-to-visible latency of committed batches.
-	Commit LatencySummary `json:"commit"`
+	Commit obs.LatencySummary `json:"commit"`
 	// Durable reports whether the engine has a durable commit path; the
 	// remaining fields are zero without one. WAL mirrors the log's
 	// counters; Checkpoints / CheckpointSeq account the background

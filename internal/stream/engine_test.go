@@ -185,14 +185,14 @@ func TestEngineFlushAndClose(t *testing.T) {
 // TestWeightedEngineKernels runs the weighted engine with SSSP — the
 // generic-over-WeightedGraph half of the serving layer.
 func TestWeightedEngineKernels(t *testing.T) {
-	e := NewWeightedEngine(aspen.NewWeightedGraph(), Options{})
+	e := NewGraphEngine(aspen.NewGraphOf[float32](ctree.DefaultParams()), Options{})
 	defer e.Close()
 	edges := []aspen.WeightedEdge{
-		{Src: 0, Dst: 1, Weight: 1},
-		{Src: 1, Dst: 2, Weight: 2},
-		{Src: 0, Dst: 2, Weight: 5},
+		{Src: 0, Dst: 1, Val: 1},
+		{Src: 1, Dst: 2, Val: 2},
+		{Src: 0, Dst: 2, Val: 5},
 	}
-	p, err := e.Insert(aspen.MakeUndirectedWeighted(edges))
+	p, err := e.Insert(aspen.MakeUndirected(edges))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,7 +92,8 @@ func (c *flatCache[G]) viewOf(stamp uint64, g G) ligra.Graph {
 			c.builds.Add(1)
 		}
 		c.mu.Lock()
-		if stamp > c.lastStamp {
+		// The nil check lets the base version (stamp 0) become the anchor.
+		if c.lastView == nil || stamp > c.lastStamp {
 			c.lastStamp, c.lastView = stamp, e.view
 		}
 		c.mu.Unlock()

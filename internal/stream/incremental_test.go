@@ -85,7 +85,7 @@ func TestPatchFlatEngineDifferential(t *testing.T) {
 }
 
 // TestPatchFlatWeightedEngine checks the weighted engine's patcher wiring:
-// weight re-inserts and deletes flow through PatchFlatWeightedSnapshot and
+// weight re-inserts and deletes flow through PatchFlatSnapshot and
 // the view keeps answering weighted queries correctly.
 func TestPatchFlatWeightedEngine(t *testing.T) {
 	gen := rmat.NewGenerator(9, 33)
@@ -94,12 +94,12 @@ func TestPatchFlatWeightedEngine(t *testing.T) {
 		for i, ed := range gen.Edges(lo, hi) {
 			w := scale + float32(i%5)
 			batch = append(batch,
-				aspen.WeightedEdge{Src: ed.Src, Dst: ed.Dst, Weight: w},
-				aspen.WeightedEdge{Src: ed.Dst, Dst: ed.Src, Weight: w})
+				aspen.WeightedEdge{Src: ed.Src, Dst: ed.Dst, Val: w},
+				aspen.WeightedEdge{Src: ed.Dst, Dst: ed.Src, Val: w})
 		}
 		return batch
 	}
-	e := NewWeightedEngine(aspen.NewWeightedGraph().InsertEdges(mkw(0, 1_500, 1)),
+	e := NewGraphEngine(aspen.NewGraphOf[float32](ctree.DefaultParams()).InsertEdges(mkw(0, 1_500, 1)),
 		Options{PatchFlat: true, PrebuildFlat: true})
 	defer e.Close()
 
@@ -276,24 +276,24 @@ func TestIncrementalCCCoalescedRuns(t *testing.T) {
 func TestIncrementalCCWeighted(t *testing.T) {
 	var batch []aspen.WeightedEdge
 	add := func(u, v uint32, w float32) {
-		batch = append(batch, aspen.WeightedEdge{Src: u, Dst: v, Weight: w},
-			aspen.WeightedEdge{Src: v, Dst: u, Weight: w})
+		batch = append(batch, aspen.WeightedEdge{Src: u, Dst: v, Val: w},
+			aspen.WeightedEdge{Src: v, Dst: u, Val: w})
 	}
 	add(1, 2, 1)
 	add(2, 3, 1)
 	add(10, 11, 1)
-	e := NewWeightedEngine(aspen.NewWeightedGraph().InsertEdges(batch), Options{})
+	e := NewGraphEngine(aspen.NewGraphOf[float32](ctree.DefaultParams()).InsertEdges(batch), Options{})
 	defer e.Close()
-	cc := AttachWeightedIncrementalCC(e)
+	cc := AttachGraphIncrementalCC(e)
 	if cc.Component(3) != 1 || cc.Component(11) != 10 {
 		t.Fatal("bootstrap labeling wrong")
 	}
 	// Re-weight 1-2 (no connectivity change), then bridge the components.
-	reweight := []aspen.WeightedEdge{{Src: 1, Dst: 2, Weight: 9}, {Src: 2, Dst: 1, Weight: 9}}
+	reweight := []aspen.WeightedEdge{{Src: 1, Dst: 2, Val: 9}, {Src: 2, Dst: 1, Val: 9}}
 	if _, err := e.Insert(reweight); err != nil {
 		t.Fatal(err)
 	}
-	bridge := []aspen.WeightedEdge{{Src: 3, Dst: 10, Weight: 1}, {Src: 10, Dst: 3, Weight: 1}}
+	bridge := []aspen.WeightedEdge{{Src: 3, Dst: 10, Val: 1}, {Src: 10, Dst: 3, Val: 1}}
 	if _, err := e.Insert(bridge); err != nil {
 		t.Fatal(err)
 	}
@@ -315,5 +315,27 @@ func TestIncrementalCCWeighted(t *testing.T) {
 	}
 	if st := cc.Stats(); st.Recomputes == 0 {
 		t.Fatal("bridge cut did not trigger a confined recompute")
+	}
+}
+
+// TestPatchFlatFromBaseVersion: a view of the base version (stamp 0)
+// anchors the patch chain, so the first commit after it patches instead of
+// rebuilding.
+func TestPatchFlatFromBaseVersion(t *testing.T) {
+	e := flatTestEngine(t, Options{PatchFlat: true})
+	defer e.Close()
+	tx := e.Begin()
+	tx.Flat()
+	tx.Close()
+	p, err := e.Insert([]aspen.Edge{{Src: 1, Dst: 900}, {Src: 900, Dst: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Wait()
+	tx = e.Begin()
+	sameView(t, tx.Flat(), tx.Graph(), "view patched from the base version")
+	tx.Close()
+	if st := e.Stats(); st.FlatBuilds != 1 || st.FlatPatches != 1 {
+		t.Fatalf("builds=%d patches=%d, want 1 and 1", st.FlatBuilds, st.FlatPatches)
 	}
 }

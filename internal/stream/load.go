@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/ligra"
+	"repro/internal/obs"
 )
 
 // Kernel is a named analytics query run inside read transactions — any
@@ -89,8 +90,8 @@ func UpdateScheduleMix[E any](start, batch, period uint64, mk func(lo, hi uint64
 
 // KernelStat pairs a kernel with its query-latency digest.
 type KernelStat struct {
-	Name    string         `json:"name"`
-	Latency LatencySummary `json:"latency"`
+	Name    string             `json:"name"`
+	Latency obs.LatencySummary `json:"latency"`
 }
 
 // Report is the outcome of one Workload run — the §7.8 numbers.
@@ -103,12 +104,12 @@ type Report struct {
 	Batches       uint64        `json:"batches"`
 	Coalesce      float64       `json:"coalesce_factor"` // batches per commit
 
-	Commit LatencySummary `json:"commit_latency"`
+	Commit obs.LatencySummary `json:"commit_latency"`
 
-	Queries       uint64         `json:"queries"`
-	QueriesPerSec float64        `json:"queries_per_sec"`
-	Query         LatencySummary `json:"query_latency"`
-	PerKernel     []KernelStat   `json:"per_kernel"`
+	Queries       uint64             `json:"queries"`
+	QueriesPerSec float64            `json:"queries_per_sec"`
+	Query         obs.LatencySummary `json:"query_latency"`
+	PerKernel     []KernelStat       `json:"per_kernel"`
 
 	// LiveVersions and RetiredVersions are sampled after the run drains:
 	// live must be 1 (only the current version) when every reader exited,
@@ -158,18 +159,18 @@ type DriveSpec struct {
 type DriveStats struct {
 	Elapsed   time.Duration
 	Queries   uint64
-	Query     LatencySummary
-	PerKernel []LatencySummary
+	Query     obs.LatencySummary
+	PerKernel []obs.LatencySummary
 }
 
 // Drive runs the load loop to completion (writer deadline reached, flush
 // drained, readers joined).
 func Drive(s DriveSpec) DriveStats {
-	kh := make([]*Hist, s.Kernels)
+	kh := make([]*obs.Hist, s.Kernels)
 	for i := range kh {
-		kh[i] = &Hist{}
+		kh[i] = &obs.Hist{}
 	}
-	var queryHist Hist
+	var queryHist obs.Hist
 	var queries atomic.Uint64
 	var stop atomic.Bool
 
